@@ -27,7 +27,7 @@ import numpy as np
 from . import verify
 from .expr import EvalError, Expr
 from .gridfn import GridFunction, interpolate, solver_nodes
-from .integral_op import CoupledState, apply_operator
+from .integral_op import CoupledState, _MomentOperator, apply_operator
 from .kernel import ProblemParams
 from .quadrature import QuadratureRule
 
@@ -124,6 +124,19 @@ def _initial_state(cfg: SolveConfig, nodes: np.ndarray) -> CoupledState:
     return CoupledState(const, const)
 
 
+def _relax(old: GridFunction, target: GridFunction, lam: float) -> tuple[GridFunction, float]:
+    """Damped update (1-lam)*old + lam*target and its C^1-norm step from old."""
+    new = GridFunction(
+        old.nodes, (1 - lam) * old.values + lam * target.values,
+        (1 - lam) * old.derivs + lam * target.derivs,
+    )
+    step = max(
+        np.max(np.abs(new.values - old.values)),
+        np.max(np.abs(new.derivs - old.derivs)),
+    )
+    return new, step
+
+
 def solve(
     p: ProblemParams, f: Expr, h: Expr, cfg: SolveConfig = SolveConfig()
 ) -> tuple[CoupledState, SolveReport]:
@@ -131,6 +144,7 @@ def solve(
     cfg.validate()
     nodes = solver_nodes(cfg.nodes, p)
     rule = QuadratureRule(points_per_panel=cfg.quad_points)
+    op = _MomentOperator(p, nodes, rule)
     state = _initial_state(cfg, nodes)
     u, v = state.u, state.v
 
@@ -141,26 +155,8 @@ def solve(
     converged = False
     for it in range(1, cfg.max_iters + 1):
         try:
-            tu = apply_operator(p, f, v, rule)
-            u_new = GridFunction(
-                nodes, (1 - lam) * u.values + lam * tu.values,
-                (1 - lam) * u.derivs + lam * tu.derivs,
-            )
-            step_u = max(
-                np.max(np.abs(u_new.values - u.values)),
-                np.max(np.abs(u_new.derivs - u.derivs)),
-            )
-            u = u_new
-            tv = apply_operator(p, h, u, rule)
-            v_new = GridFunction(
-                nodes, (1 - lam) * v.values + lam * tv.values,
-                (1 - lam) * v.derivs + lam * tv.derivs,
-            )
-            step_v = max(
-                np.max(np.abs(v_new.values - v.values)),
-                np.max(np.abs(v_new.derivs - v.derivs)),
-            )
-            v = v_new
+            u, step_u = _relax(u, apply_operator(p, f, v, rule, op), lam)
+            v, step_v = _relax(v, apply_operator(p, h, u, rule, op), lam)
         except EvalError as err:
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         step = float(max(step_u, step_v))

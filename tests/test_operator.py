@@ -136,3 +136,34 @@ def test_output_derivatives_consistent_with_values(params, nodes, f_example):
     vm, _ = interpolate(w, t - h)
     _, d = interpolate(w, t)
     assert np.max(np.abs((vp - vm) / (2 * h) - d)) <= 1e-5
+
+
+def test_tabulated_basis_matches_interpolation(params, nodes):
+    from tripoint.integral_op import _MomentOperator
+
+    scale = 1e3
+    g = GridFunction(nodes, scale * np.sin(3 * nodes), 3 * scale * np.cos(3 * nodes))
+    op = _MomentOperator(params, nodes, QuadratureRule())
+    assert op.basis is not None  # solver nodes hold eta: whole-interval panels
+    vals, ders = op.sample(g)
+    ref_vals, ref_ders = interpolate(g, op.s_flat)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-13 * scale
+    assert np.max(np.abs(ders - ref_ders)) <= 1e-13 * scale
+
+
+def test_split_panels_sample_through_interpolation(params, nodes, f_example):
+    from tripoint.integral_op import _MomentOperator, apply_operator
+
+    g = _random_nonneg_state(nodes, np.random.default_rng(3))
+    rule = QuadratureRule(breakpoints=(0.0, 0.3, 1.0))  # 0.3 splits a node interval
+    op = _MomentOperator(params, nodes, rule)
+    assert op.basis is None
+    vals, ders = op.sample(g)
+    ref_vals, ref_ders = interpolate(g, op.s_flat)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(ders, ref_ders)
+    # a prebuilt operator gives the same output as one built per call
+    w = apply_operator(params, f_example, g, rule, op)
+    ref = apply_operator(params, f_example, g, rule)
+    assert np.array_equal(w.values, ref.values) and np.array_equal(w.derivs, ref.derivs)
+    with pytest.raises(ValueError):
+        apply_operator(params, f_example, GridFunction.zeros(np.linspace(0, 1, 9)), rule, op)

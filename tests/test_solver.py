@@ -190,3 +190,19 @@ def test_report_serialization_round_trip(params, example_solution):
         "bc_defect_u", "bc_defect_v", "cone_ok_u", "cone_ok_v",
         "positivity_ok", "history",
     }
+
+
+def test_solve_builds_its_discretisation_once(params, f_example, h_example, monkeypatch):
+    import tripoint.integral_op as integral_op
+
+    calls = []
+    original = integral_op.panel_points
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integral_op, "panel_points", counting)
+    _, report = solve(params, f_example, h_example, SolveConfig(nodes=65))
+    assert report.iters >= 5
+    assert len(calls) == 1
