@@ -25,7 +25,6 @@ from .gridfn import GridFunction, c1_norm, chebyshev_nodes, interpolate, lincomb
 from .integral_op import CoupledState, apply_T1, apply_T2, apply_operator
 from .kernel import (
     ProblemParams,
-    cone_constants,
     g0_bound,
     g1_bound,
     green,
@@ -74,7 +73,6 @@ __all__ = [
     "certify_kernel",
     "check_nonnegative_sampled",
     "chebyshev_nodes",
-    "cone_constants",
     "cone_membership",
     "default_directions",
     "default_scales",

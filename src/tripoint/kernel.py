@@ -41,7 +41,6 @@ __all__ = [
     "green_dt_branches",
     "g0_bound",
     "g1_bound",
-    "cone_constants",
 ]
 
 #: minimum admissible gap 1 - alpha*eta; smaller gaps amplify rounding in the
@@ -103,6 +102,53 @@ def _prepare(t, s) -> tuple[np.ndarray, np.ndarray, bool]:
     return t_arr, s_arr, (t_arr.ndim == 0 and s_arr.ndim == 0)
 
 
+def _green_terms(p: ProblemParams, t, s) -> tuple[tuple, float]:
+    """The four branches of G at (t, s) in branch order, undivided, and their divisor."""
+    den = p.gap
+    t2 = t**2
+    cross = 2 * t * s
+    cross -= s**2
+    cross *= den  # branches 1 and 3
+    rise = t2 * s
+    rise *= p.alpha - 1  # branches 1 and 2
+    b1 = cross + rise
+    rise += t2 * den
+    cross += t2 * (p.alpha * p.eta - s)
+    return (b1, rise, cross, t2 * (1 - s)), 2 * den
+
+
+def _green_dt_terms(p: ProblemParams, t, s) -> tuple[tuple, float]:
+    """The four branches of dG/dt at (t, s), as :func:`_green_terms`."""
+    den = p.gap
+    rise = t * s
+    rise *= p.alpha - 1  # branches 1 and 2
+    sden = s * den  # branches 1 and 3
+    b1 = sden + rise
+    rise += t * den
+    return (b1, rise, sden + t * (p.alpha * p.eta - s), t * (1 - s)), den
+
+
+def _table(p: ProblemParams, t, s, terms) -> np.ndarray:
+    t_arr, s_arr, _ = _prepare(t, s)
+    b, den = terms(p, t_arr, s_arr)
+    return np.stack(np.broadcast_arrays(*b), axis=-1) / den
+
+
+def _kernel(p: ProblemParams, t, s, terms):
+    # where(s <= eta, where(s <= t, b1, b2), where(s <= t, b3, b4)), written
+    # into the branch temporaries: the first region in branch order that
+    # holds (t, s) wins, and at the seams adjacent branches agree
+    t_arr, s_arr, scalar = _prepare(t, s)
+    (b1, b2, b3, b4), den = terms(p, t_arr, s_arr)
+    b2, b4 = np.asarray(b2), np.asarray(b4)  # scalar inputs give numpy scalars
+    lo = s_arr <= t_arr
+    np.copyto(b2, b1, where=lo)
+    np.copyto(b4, b3, where=lo)
+    np.copyto(b4, b2, where=s_arr <= p.eta)
+    b4 /= den
+    return float(b4) if scalar else b4
+
+
 def green_branches(p: ProblemParams, t, s) -> np.ndarray:
     """Evaluate all four branch formulas of G at (t, s), regardless of region.
 
@@ -110,51 +156,12 @@ def green_branches(p: ProblemParams, t, s) -> np.ndarray:
     the branch whose region contains (t, s) equals G there; adjacent branches
     agree on the seams ``s = t`` and ``s = eta`` (an algebraic identity).
     """
-    t_arr, s_arr, _ = _prepare(t, s)
-    a, e = p.alpha, p.eta
-    den = p.gap
-    t_arr, s_arr = np.broadcast_arrays(t_arr, s_arr)
-    b = np.stack(
-        [
-            (2 * t_arr * s_arr - s_arr**2) * den + t_arr**2 * s_arr * (a - 1),
-            t_arr**2 * den + t_arr**2 * s_arr * (a - 1),
-            (2 * t_arr * s_arr - s_arr**2) * den + t_arr**2 * (a * e - s_arr),
-            t_arr**2 * (1 - s_arr),
-        ],
-        axis=-1,
-    ) / (2 * den)
-    return b
+    return _table(p, t, s, _green_terms)
 
 
 def green_dt_branches(p: ProblemParams, t, s) -> np.ndarray:
     """Branch formulas of dG/dt at (t, s); same layout as :func:`green_branches`."""
-    t_arr, s_arr, _ = _prepare(t, s)
-    a, e = p.alpha, p.eta
-    den = p.gap
-    t_arr, s_arr = np.broadcast_arrays(t_arr, s_arr)
-    b = np.stack(
-        [
-            s_arr * den + t_arr * s_arr * (a - 1),
-            t_arr * den + t_arr * s_arr * (a - 1),
-            s_arr * den + t_arr * (a * e - s_arr),
-            t_arr * (1 - s_arr),
-        ],
-        axis=-1,
-    ) / den
-    return b
-
-
-def _select(p: ProblemParams, t: np.ndarray, s: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    e = p.eta
-    conds = [
-        s <= np.minimum(e, t),
-        (t <= s) & (s <= e),
-        (e <= s) & (s <= t),
-        np.maximum(e, t) <= s,
-    ]
-    # first matching condition wins; ties at the seams are value-irrelevant
-    b = np.moveaxis(branches, -1, 0)
-    return np.select(conds, list(b))
+    return _table(p, t, s, _green_dt_terms)
 
 
 def green(p: ProblemParams, t, s):
@@ -162,12 +169,11 @@ def green(p: ProblemParams, t, s):
 
     Accepts scalars or broadcastable arrays; raises ``ValueError`` if any
     argument leaves [0, 1].  Nonnegative everywhere, zero at t = 0 and on
-    s = 1 for t <= s.
+    s = 1 for t <= s.  Broadcast inputs such as ``t[:, None]`` and
+    ``s[None, :]`` keep the t-only and s-only subterms at vector size; only
+    the terms that mix t and s are evaluated on the full grid.
     """
-    t_arr, s_arr, scalar = _prepare(t, s)
-    t_b, s_b = np.broadcast_arrays(t_arr, s_arr)
-    out = _select(p, t_b, s_b, green_branches(p, t_b, s_b))
-    return float(out) if scalar else out
+    return _kernel(p, t, s, _green_terms)
 
 
 def green_dt(p: ProblemParams, t, s):
@@ -176,12 +182,9 @@ def green_dt(p: ProblemParams, t, s):
     Continuous across the branch seams and nonnegative; zero at t = 0 and at
     s = 1 for t <= s.  Away from the seams it matches a central finite
     difference of :func:`green` in t to rounding (G is quadratic in t per
-    branch).
+    branch).  Broadcasts like :func:`green`.
     """
-    t_arr, s_arr, scalar = _prepare(t, s)
-    t_b, s_b = np.broadcast_arrays(t_arr, s_arr)
-    out = _select(p, t_b, s_b, green_dt_branches(p, t_b, s_b))
-    return float(out) if scalar else out
+    return _kernel(p, t, s, _green_dt_terms)
 
 
 def g0_bound(p: ProblemParams, s):
@@ -199,7 +202,3 @@ def g1_bound(p: ProblemParams, s):
     out = (1.0 - s_arr) / p.gap
     return float(out) if s_arr.ndim == 0 else out
 
-
-def cone_constants(p: ProblemParams) -> tuple[float, float]:
-    """The pair (k0, k1) attached to the parameters; both lie in (0, 1)."""
-    return p.k0, p.k1

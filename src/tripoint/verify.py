@@ -14,7 +14,7 @@ ratio curves along user-chosen directions; it claims nothing about limits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,14 +48,7 @@ class KernelCheck:
     worst_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "worst_t": self.worst_t,
-            "worst_s": self.worst_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -92,39 +85,40 @@ def certify_kernel(
     """Grade the four kernel inequalities on grid_n x grid_n sweeps.
 
     ``green_fn``/``green_dt_fn`` exist so the harness itself can be exercised
-    against a deliberately corrupted kernel.
+    against a deliberately corrupted kernel.  They are called with
+    broadcastable ``(n, 1)`` t-columns and a ``(1, m)`` s-row and must return
+    the broadcast ``(n, m)`` grid, as :func:`~tripoint.kernel.green` does.
     """
     if grid_n < MIN_GRID:
         raise ValueError(f"grid too coarse: grid_n must be >= {MIN_GRID}")
     sg = np.linspace(0.0, 1.0, grid_n)
     tg = np.linspace(0.0, 1.0, grid_n)
     tw = np.linspace(p.eta / p.alpha, p.eta, grid_n)
-    T, S = np.meshgrid(tg, sg, indexing="ij")
-    Tw, Sw = np.meshgrid(tw, sg, indexing="ij")
+    T, Tw, S = tg[:, None], tw[:, None], sg[None, :]
+    g0 = g0_bound(p, S)
+    g1 = g1_bound(p, S)
 
     checks = []
     G = green_fn(p, T, S)
-    g0 = g0_bound(p, S)
     v, vt, vs = _worst(np.maximum(-G, G - g0), tg, sg)
     checks.append(KernelCheck(
         "green_envelope", "0 <= G(t,s) <= g0(s) on [0,1]^2",
         v <= slack, v, vt, vs,
     ))
-    Gw = green_fn(p, Tw, Sw)
-    v, vt, vs = _worst(p.k0 * g0_bound(p, Sw) - Gw, tw, sg)
+    Gw = green_fn(p, Tw, S)
+    v, vt, vs = _worst(p.k0 * g0 - Gw, tw, sg)
     checks.append(KernelCheck(
         "green_cone_lower", "G(t,s) >= k0*g0(s) on [eta/alpha,eta]x[0,1]",
         v <= slack, v, vt, vs,
     ))
     D = green_dt_fn(p, T, S)
-    g1 = g1_bound(p, S)
     v, vt, vs = _worst(np.maximum(-D, D - g1), tg, sg)
     checks.append(KernelCheck(
         "green_dt_envelope", "0 <= dG/dt(t,s) <= g1(s) on [0,1]^2",
         v <= slack, v, vt, vs,
     ))
-    Dw = green_dt_fn(p, Tw, Sw)
-    v, vt, vs = _worst(p.k1 * g1_bound(p, Sw) - Dw, tw, sg)
+    Dw = green_dt_fn(p, Tw, S)
+    v, vt, vs = _worst(p.k1 * g1 - Dw, tw, sg)
     checks.append(KernelCheck(
         "green_dt_cone_lower", "dG/dt(t,s) >= k1*g1(s) on [eta/alpha,eta]x[0,1]",
         v <= slack, v, vt, vs,
@@ -144,16 +138,7 @@ class ConeMembershipReport:
     k1: float
 
     def to_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "nonneg_ok": self.nonneg_ok,
-            "value_lower_ok": self.value_lower_ok,
-            "deriv_lower_ok": self.deriv_lower_ok,
-            "value_margin": self.value_margin,
-            "deriv_margin": self.deriv_margin,
-            "k0": self.k0,
-            "k1": self.k1,
-        }
+        return asdict(self)
 
 
 def cone_membership(p: ProblemParams, g: GridFunction, slack: float = 1e-9) -> ConeMembershipReport:

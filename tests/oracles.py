@@ -10,10 +10,18 @@ u'(1) = alpha u'(eta), integrating the polynomial ansatz directly gives
 with the homogeneous pieces 1 and t killed by the left boundary conditions.
 Everything is evaluated in exact rational arithmetic and converted to float
 at the end, so this path shares no code with the package under test.
+
+For the Green's kernel, :func:`branch_table` writes out the four branch
+formulas of G and dG/dt term by term on broadcast full-size arrays, and
+:func:`select_first_match` picks the branch per point: the first region in
+branch order that holds ``(t, s)`` wins, evaluated with four full-size
+conditions and ``np.select``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def poly_bvp_solution(alpha, eta, qcoeffs):
@@ -45,3 +53,39 @@ def poly_bvp_solution(alpha, eta, qcoeffs):
         return float(2 * C * tf + up_prime(tf))
 
     return u, du
+
+
+def branch_table(p, t, s, dt=False):
+    """The four branch formulas of G (or dG/dt), stacked on a trailing axis.
+
+    Same operations in the same order as the closed forms in the
+    ``tripoint.kernel`` docstring, so the package must agree bit for bit.
+    """
+    a, e, den = p.alpha, p.eta, 1.0 - p.alpha * p.eta
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    if dt:
+        b = [s * den + t * s * (a - 1), t * den + t * s * (a - 1),
+             s * den + t * (a * e - s), t * (1 - s)]
+        return np.stack(b, axis=-1) / den
+    b = [(2 * t * s - s**2) * den + t**2 * s * (a - 1), t**2 * den + t**2 * s * (a - 1),
+         (2 * t * s - s**2) * den + t**2 * (a * e - s), t**2 * (1 - s)]
+    return np.stack(b, axis=-1) / (2 * den)
+
+
+def select_first_match(p, t, s, branches):
+    """Select per point the first branch whose region holds (t, s).
+
+    ``branches`` has a trailing axis of length 4 in branch order, as returned
+    by ``green_branches``/``green_dt_branches``; ``t`` and ``s`` broadcast to
+    its leading shape.  The regions are ``s <= min(eta, t)``,
+    ``t <= s <= eta``, ``eta <= s <= t`` and ``max(eta, t) <= s``.
+    """
+    e = p.eta
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    conds = [
+        s <= np.minimum(e, t),
+        (t <= s) & (s <= e),
+        (e <= s) & (s <= t),
+        np.maximum(e, t) <= s,
+    ]
+    return np.select(conds, list(np.moveaxis(branches, -1, 0)))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import branch_table, select_first_match
 from tripoint import (
     ProblemParams,
-    cone_constants,
     g0_bound,
     g1_bound,
     green,
@@ -49,10 +49,11 @@ def test_g1_golden_values(params):
 
 
 def test_cone_constants_golden(params):
-    k0, k1 = cone_constants(params)
+    k0, k1 = params.k0, params.k1
     assert k0 == pytest.approx(1 / 90, rel=1e-15)
     assert k1 == pytest.approx(0.5, rel=1e-15)
-    k0b, k1b = cone_constants(ProblemParams(2.0, 1 / 3))
+    pb = ProblemParams(2.0, 1 / 3)
+    k0b, k1b = pb.k0, pb.k1
     assert k0b == pytest.approx(1 / 216, rel=1e-14)
     assert k1b == pytest.approx(1 / 3, rel=1e-14)
 
@@ -143,6 +144,41 @@ def test_seam_selection_is_value_irrelevant(params):
             b = green_branches(params, ti, s)
             assert g == pytest.approx(b[pair[0]], abs=1e-13)
             assert g == pytest.approx(b[pair[1]], abs=1e-13)
+
+
+@settings(max_examples=60)
+@given(
+    admissible_params(),
+    st.lists(st.floats(0.0, 1.0), max_size=12),
+    st.lists(st.floats(0.0, 1.0), max_size=12),
+)
+def test_kernels_match_first_match_selection_bitwise(p, t_extra, s_extra):
+    # s holds both seams at every t: s = t and s = eta, plus eta/alpha
+    t = np.array([0.0, p.eta / p.alpha, p.eta, 1.0, *t_extra])
+    s = np.array([*s_extra, *t])
+    T, S = np.meshgrid(t, s, indexing="ij")
+    for kernel, branches, dt in ((green, green_branches, False), (green_dt, green_dt_branches, True)):
+        assert branches(p, T, S).tobytes() == branch_table(p, T, S, dt).tobytes()
+        ref = select_first_match(p, T, S, branches(p, T, S))
+        for got in (kernel(p, t[:, None], s[None, :]), kernel(p, T, S)):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=30)
+@given(admissible_params())
+def test_scalar_points_match_the_array_path(p):
+    e, w = p.eta, p.eta / p.alpha
+    pts = [(0.3, 0.3), (0.8, 0.8), (e, e), (w, w), (0.1, e), (0.9, e), (w, e),
+           (0.2, 0.9), (0.9, 0.2), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)]
+    t = np.array([ti for ti, _ in pts])
+    s = np.array([si for _, si in pts])
+    for kernel in (green, green_dt):
+        arr = kernel(p, t, s)
+        for k, (ti, si) in enumerate(pts):
+            v = kernel(p, ti, si)
+            assert type(v) is float
+            assert v.hex() == float(arr[k]).hex()
 
 
 def test_green_dt_matches_finite_difference(params):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import select_first_match
 
 from tripoint import (
     EvalError,
@@ -11,8 +12,11 @@ from tripoint import (
     certify_kernel,
     cone_membership,
     g0_bound,
+    g1_bound,
     green,
+    green_branches,
     green_dt,
+    green_dt_branches,
     growth_scan,
     parse,
     solver_nodes,
@@ -75,6 +79,41 @@ def test_certify_detects_corrupted_kernel(params):
     assert by_name["green_envelope"].worst_violation > 0.1
     # untouched derivative checks keep their usual outcome
     assert by_name["green_dt_envelope"].passed
+
+
+def _meshgrid_certification(p, grid_n, slack=1e-12):
+    """The four gradings on materialised meshgrids with the oracle kernel."""
+    sg = np.linspace(0.0, 1.0, grid_n)
+    tg = np.linspace(0.0, 1.0, grid_n)
+    tw = np.linspace(p.eta / p.alpha, p.eta, grid_n)
+    T, S = np.meshgrid(tg, sg, indexing="ij")
+    Tw, Sw = np.meshgrid(tw, sg, indexing="ij")
+    G = select_first_match(p, T, S, green_branches(p, T, S))
+    Gw = select_first_match(p, Tw, Sw, green_branches(p, Tw, Sw))
+    D = select_first_match(p, T, S, green_dt_branches(p, T, S))
+    Dw = select_first_match(p, Tw, Sw, green_dt_branches(p, Tw, Sw))
+    graded = [
+        ("green_envelope", np.maximum(-G, G - g0_bound(p, S)), tg),
+        ("green_cone_lower", p.k0 * g0_bound(p, Sw) - Gw, tw),
+        ("green_dt_envelope", np.maximum(-D, D - g1_bound(p, S)), tg),
+        ("green_dt_cone_lower", p.k1 * g1_bound(p, Sw) - Dw, tw),
+    ]
+    rows = []
+    for name, violation, ts in graded:
+        i, j = np.unravel_index(int(np.argmax(violation)), violation.shape)
+        v = float(violation[i, j])
+        rows.append((name, v <= slack, v.hex(), float(ts[i]).hex(), float(sg[j]).hex()))
+    return rows
+
+
+def test_certify_matches_meshgrid_reference_bitwise(params):
+    rng = np.random.default_rng(11)
+    pairs = [params, ProblemParams(2.0, 1 / 3)] + [_random_admissible(rng) for _ in range(3)]
+    for p in pairs:
+        report = certify_kernel(p, grid_n=101)
+        got = [(c.name, c.passed, c.worst_violation.hex(), c.worst_t.hex(), c.worst_s.hex())
+               for c in report.checks]
+        assert got == _meshgrid_certification(p, 101), (p.alpha, p.eta)
 
 
 def test_certify_report_serializes(params):
