@@ -22,7 +22,7 @@ from .expr import (
     to_source,
 )
 from .gridfn import GridFunction, c1_norm, chebyshev_nodes, interpolate, lincomb, solver_nodes
-from .integral_op import CoupledState, apply_T1, apply_T2, apply_operator
+from .integral_op import CoupledState, apply_operator
 from .kernel import (
     ProblemParams,
     g0_bound,
@@ -65,8 +65,6 @@ __all__ = [
     "SolveConfig",
     "SolveError",
     "SolveReport",
-    "apply_T1",
-    "apply_T2",
     "apply_operator",
     "bc_defect",
     "c1_norm",

@@ -29,6 +29,14 @@ reference coordinates in every panel, and sampling the state's cubic
 Hermite interpolant is a product of the per-panel node data with a
 tabulated q x 4 basis.  Panels that split node intervals fall back to
 :func:`interpolate`.
+
+A solve also names its two sources when it builds the operator.  The
+operator then holds one block with the Gauss points and weights, the state
+samples, the moment sums and the registers of both sources
+(:class:`~tripoint.expr.Workspace`), and it builds the branch coefficients
+of the moment combination once.  A warm half-sweep therefore allocates only
+node-sized arrays.  The t-only parts of each source, such as ``t^2+1``, are
+evaluated at its first half-sweep and kept for the rest of the solve.
 """
 from __future__ import annotations
 
@@ -38,12 +46,12 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Expr
+from .expr import Expr, Workspace
 from .gridfn import GridFunction, interpolate
 from .kernel import ProblemParams
 from .quadrature import QuadratureRule, _leggauss, panel_points
 
-__all__ = ["CoupledState", "apply_T1", "apply_T2", "apply_operator"]
+__all__ = ["CoupledState", "apply_operator"]
 
 logger = logging.getLogger(__name__)
 
@@ -75,16 +83,40 @@ class _MomentOperator:
     one weighs (v_j, h_j d_j, v_{j+1}, h_j d_{j+1}) into values, the other
     (v_j / h_j, d_j, v_{j+1} / h_j, d_{j+1}) into slopes, with h_j the width
     of panel j.
+
+    Everything a half-sweep needs beyond the state and the source is built
+    here once: the branch coefficients of the moment combination, and one
+    block holding the sampled values and slopes, the 4 x panels node-data
+    stack and the cumulative moments.  The source is evaluated through
+    :attr:`work`, an expression workspace at the quadrature points, so a warm
+    half-sweep allocates no array of quadrature-point size.  The arrays
+    :meth:`sample` returns on the tabulated path and the source register
+    :meth:`apply` consumes are overwritten by the next half-sweep.
     """
 
-    def __init__(self, p: ProblemParams, nodes: np.ndarray, rule: QuadratureRule):
+    def __init__(self, p: ProblemParams, nodes: np.ndarray, rule: QuadratureRule,
+                 sources: tuple[Expr, ...] = ()):
         self.p = p
         self.nodes = nodes
         bounds = np.unique(np.concatenate([nodes, np.asarray(rule.breakpoints), [p.eta]]))
         s, w = panel_points(bounds, rule.points_per_panel)
-        self.s, self.w = np.ascontiguousarray(s.T), np.ascontiguousarray(w.T)
+        m, q = s.shape
+        n_rows = Workspace.rows_for(sources)
+        # one block: Gauss points and weights, sampled values and slopes
+        # (q x m each), the node-data stack (4 x m), panel sums (m),
+        # cumulative moments (3 x (m+1)) and the source registers
+        shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (n_rows, q * m)]
+        block = np.empty(sum(int(np.prod(sh)) for sh in shapes))
+        views, at = [], 0
+        for sh in shapes:
+            size = int(np.prod(sh))
+            views.append(block[at : at + size].reshape(sh))
+            at += size
+        self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums, rows = views
+        self.s[:], self.w[:] = s.T, w.T
+        self._cums[:, 0] = 0.0
         self.s_flat = self.s.ravel()
-        self.node_pos = np.searchsorted(bounds, nodes)
+        self.work = Workspace(self.s_flat, sources, rows)
         self.eta_pos = int(np.searchsorted(bounds, p.eta))
         self.basis = None
         if np.array_equal(bounds, nodes):
@@ -98,44 +130,66 @@ class _MomentOperator:
             self.slope_basis = np.column_stack(
                 [6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x, 3 * x2 - 2 * x]
             )
+            self.node_pos = slice(None)
+        else:
+            self.node_pos = np.searchsorted(bounds, nodes)
+
+        t = nodes
+        a, e, den = p.alpha, p.eta, p.gap
+        self.lo = t <= e
+        t2 = t * t
+        # value combination: branch polynomials of G grouped by s-interval,
+        # as (A1, B0, B1, C0, C1, D0)
+        self.value_coef = (
+            t + t2 * (a - 1) / (2 * den), t2 / 2, t2 * (a - 1) / (2 * den),
+            t2 * a * e / (2 * den), t - t2 / (2 * den), t2 / (2 * den),
+        )
+        # derivative combination: branch polynomials of dG/dt, as (a1, b1, c0, c1, d0)
+        self.deriv_coef = (
+            1 + t * (a - 1) / den, t * (a - 1) / den, t * a * e / den, 1 - t / den, t / den,
+        )
 
     def sample(self, g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
         """Value and slope of g's Hermite interpolant at the quadrature points."""
         if self.basis is None:
             return interpolate(g, self.s_flat)
-        v, d, h = g.values, g.derivs, self.h
+        v, d, h, stack = g.values, g.derivs, self.h, self._stack
         v0, v1, d0, d1 = v[:-1], v[1:], d[:-1], d[1:]
-        vals = self.basis @ np.stack([v0, h * d0, v1, h * d1])
-        ders = self.slope_basis @ np.stack([v0 / h, d0, v1 / h, d1])
-        return vals.ravel(), ders.ravel()
+        stack[0] = v0
+        np.multiply(h, d0, out=stack[1])
+        stack[2] = v1
+        np.multiply(h, d1, out=stack[3])
+        np.matmul(self.basis, stack, out=self._vals)
+        np.divide(v0, h, out=stack[0])
+        stack[1] = d0
+        np.divide(v1, h, out=stack[2])
+        stack[3] = d1
+        np.matmul(self.slope_basis, stack, out=self._ders)
+        return self._vals.ravel(), self._ders.ravel()
 
     def apply(self, src_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate the sampled source against G and dG/dt at every node."""
-        p, t = self.p, self.nodes
-        a, e, den = p.alpha, p.eta, p.gap
+        """Integrate the sampled source against G and dG/dt at every node.
+
+        ``src_vals`` is overwritten: it becomes w * s^2 * src.
+        """
+        t = self.nodes
         # w * s^k * src: one in-place multiply by s per further moment
-        wphi = self.w * src_vals.reshape(self.s.shape)
-        cums = []
+        wphi = src_vals.reshape(self.s.shape)
+        np.multiply(self.w, wphi, out=wphi)
+        cums = self._cums
         for k in range(3):
             if k:
                 wphi *= self.s
-            cums.append(np.concatenate([[0.0], np.cumsum(np.sum(wphi, axis=0))]))
+            np.sum(wphi, axis=0, out=self._panel_sum)
+            np.cumsum(self._panel_sum, out=cums[k, 1:])
         # P_k(x) at the node positions and at the seam eta / the right end
-        P = [c[self.node_pos] for c in cums]
-        Pe = [c[self.eta_pos] for c in cums]
-        P1 = [c[-1] for c in cums]
+        P = cums[:, self.node_pos]
+        Pe = cums[:, self.eta_pos]
+        P1 = cums[:, -1]
 
-        lo = t <= e
-        t2 = t * t
-        # value combination: branch polynomials of G grouped by s-interval
-        A1 = t + t2 * (a - 1) / (2 * den)
-        B0 = t2 / 2
-        B1 = t2 * (a - 1) / (2 * den)
-        C0 = t2 * a * e / (2 * den)
-        C1 = t - t2 / (2 * den)
-        D0 = t2 / (2 * den)
+        A1, B0, B1, C0, C1, D0 = self.value_coef
         values = np.where(
-            lo,
+            self.lo,
             A1 * P[1] - 0.5 * P[2]
             + B0 * (Pe[0] - P[0]) + B1 * (Pe[1] - P[1])
             + D0 * ((P1[0] - Pe[0]) - (P1[1] - Pe[1])),
@@ -143,14 +197,9 @@ class _MomentOperator:
             + C0 * (P[0] - Pe[0]) + C1 * (P[1] - Pe[1]) - 0.5 * (P[2] - Pe[2])
             + D0 * ((P1[0] - P[0]) - (P1[1] - P[1])),
         )
-        # derivative combination: branch polynomials of dG/dt
-        a1 = 1 + t * (a - 1) / den
-        b1 = t * (a - 1) / den
-        c0 = t * a * e / den
-        c1 = 1 - t / den
-        d0 = t / den
+        a1, b1, c0, c1, d0 = self.deriv_coef
         derivs = np.where(
-            lo,
+            self.lo,
             a1 * P[1]
             + t * (Pe[0] - P[0]) + b1 * (Pe[1] - P[1])
             + d0 * ((P1[0] - Pe[0]) - (P1[1] - Pe[1])),
@@ -166,13 +215,15 @@ def _sample_state(op: _MomentOperator, g: GridFunction) -> tuple[np.ndarray, np.
 
     The source expressions are only defined for nonnegative state arguments;
     interpolation may overshoot below zero by a rounding-level amount, which
-    is clamped (and logged) rather than passed through.
+    is clamped (and logged) rather than passed through.  The samples are
+    arrays the operator owns, so they are clamped in place.
     """
     vals, ders = op.sample(g)
     n_neg = np.count_nonzero(vals < 0.0) + np.count_nonzero(ders < 0.0)
     if n_neg:
         logger.debug("clamped %d negative interpolated state samples to 0", n_neg)
-        vals, ders = np.maximum(vals, 0.0), np.maximum(ders, 0.0)
+        np.maximum(vals, 0.0, out=vals)
+        np.maximum(ders, 0.0, out=ders)
     return vals, ders
 
 
@@ -191,24 +242,10 @@ def apply_operator(
     ``(p, state.nodes, rule)``; without it one is built for this call.
     """
     if op is None:
-        op = _MomentOperator(p, state.nodes, rule)
+        op = _MomentOperator(p, state.nodes, rule, (src,))
     elif not np.array_equal(op.nodes, state.nodes):
         raise ValueError("the moment operator was built for a different node set")
     y, yp = _sample_state(op, state)
-    src_vals = src.eval_array(op.s_flat, y, yp)
+    src_vals = src.eval_array(op.s_flat, y, yp, work=op.work)
     values, derivs = op.apply(src_vals)
     return GridFunction(state.nodes, values, derivs)
-
-
-def apply_T1(
-    p: ProblemParams, f: Expr, v: GridFunction, rule: QuadratureRule = QuadratureRule()
-) -> GridFunction:
-    """First component: new u from the current v through the source f."""
-    return apply_operator(p, f, v, rule)
-
-
-def apply_T2(
-    p: ProblemParams, h: Expr, u: GridFunction, rule: QuadratureRule = QuadratureRule()
-) -> GridFunction:
-    """Second component: new v from the current u through the source h."""
-    return apply_operator(p, h, u, rule)

@@ -144,7 +144,7 @@ def solve(
     cfg.validate()
     nodes = solver_nodes(cfg.nodes, p)
     rule = QuadratureRule(points_per_panel=cfg.quad_points)
-    op = _MomentOperator(p, nodes, rule)
+    op = _MomentOperator(p, nodes, rule, (f, h))
     state = _initial_state(cfg, nodes)
     u, v = state.u, state.v
 

@@ -16,12 +16,18 @@ formulas of G and dG/dt term by term on broadcast full-size arrays, and
 :func:`select_first_match` picks the branch per point: the first region in
 branch order that holds ``(t, s)`` wins, evaluated with four full-size
 conditions and ``np.select``.
+
+:func:`eval_tree` is the recursive tree evaluator that ``Expr.eval_array``
+used before it was compiled to a flat tape: one numpy operation per node,
+children first, every intermediate a fresh array.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 import numpy as np
+
+from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
 
 
 def poly_bvp_solution(alpha, eta, qcoeffs):
@@ -89,3 +95,47 @@ def select_first_match(p, t, s, branches):
         np.maximum(e, t) <= s,
     ]
     return np.select(conds, list(np.moveaxis(branches, -1, 0)))
+
+
+def _eval_node(node, env):
+    if isinstance(node, Num):
+        return np.asarray(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_eval_node(node.operand, env)
+    if isinstance(node, Bin):
+        a = _eval_node(node.lhs, env)
+        b = _eval_node(node.rhs, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return a / b
+        return np.power(a, b)
+    fn = FUNCTIONS[node.func][1]
+    return fn(*(_eval_node(arg, env) for arg in node.args))
+
+
+def eval_tree(e, t, y, yp):
+    """Evaluate ``e`` over broadcastable arrays by walking its tree.
+
+    Raises ``EvalError`` on a floating-point fault or a non-finite result,
+    as ``Expr.eval_array`` does.
+    """
+    t, y, yp = np.broadcast_arrays(
+        np.asarray(t, float), np.asarray(y, float), np.asarray(yp, float)
+    )
+    env = {"t": t, "y": y, "yp": yp}
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        try:
+            out = _eval_node(e.root, env)
+        except FloatingPointError as err:
+            raise EvalError(f"domain error while evaluating expression: {err}") from err
+    out = np.broadcast_to(np.asarray(out, float), t.shape)
+    if not np.all(np.isfinite(out)):
+        raise EvalError("expression produced a non-finite value")
+    return out.copy()

@@ -19,8 +19,7 @@ import pytest
 from tripoint import (
     GridFunction,
     ProblemParams,
-    apply_T1,
-    apply_T2,
+    apply_operator,
     bc_defect,
     c1_norm,
     certify_kernel,
@@ -260,8 +259,8 @@ def test_criterion_6_cone_preservation(params, f_example, h_example):
         vals = np.polynomial.polynomial.polyval(nodes, coef)
         ders = np.polynomial.polynomial.polyval(nodes, np.polynomial.polynomial.polyder(coef))
         g = GridFunction(nodes, vals, ders)
-        w = (apply_T1(params, f_example, g) if case % 2 == 0
-             else apply_T2(params, h_example, g))
+        w = (apply_operator(params, f_example, g) if case % 2 == 0
+             else apply_operator(params, h_example, g))
         rep = cone_membership(params, w, slack=1e-9)
         nonneg_failures += not rep.nonneg_ok
         value_failures += not rep.value_lower_ok
@@ -291,7 +290,7 @@ def test_criterion_6_cone_preservation(params, f_example, h_example):
     # gives w' = (5/4)t - t^2/2 (increasing on [0, 1]), so min_W w' = w'(1/3)
     # = 13/36 and max|w'| = w'(1) = 3/4; the margin at k1 = 1/2 is
     # 13/36 - 3/8 = -1/72, and at the sharp constant 13/36 - 1/4 = 1/9.
-    const_out = apply_T1(params, parse("1"), GridFunction.zeros(nodes))
+    const_out = apply_operator(params, parse("1"), GridFunction.zeros(nodes))
     const_margin = cone_membership(params, const_out, slack=1e-9).deriv_margin
     clauses = [
         ("outputs nonnegative", nonneg_failures == 0, f"{nonneg_failures}/{total} failures"),

@@ -27,3 +27,4 @@ def test_traced_sweep_run_is_correct():
     assert details["harness_problems"] == []
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     assert metrics["integral_op.apply_calls"] == 2 * metrics["solver.iters"]
+    assert metrics["expr.eval_calls"] >= metrics["integral_op.apply_calls"]

@@ -16,9 +16,10 @@ from tripoint import (
     parse,
     to_source,
 )
-from tripoint.expr import Bin, Call, Neg, Num, Var
+from tripoint.expr import Bin, Call, Expr, Neg, Num, Var, Workspace
 
 from conftest import EXAMPLE_F, EXAMPLE_H
+from oracles import eval_tree
 
 # (source, (t, y, yp), expected) -- expected values computed by hand or with
 # the math module, independently of the evaluator under test
@@ -118,11 +119,10 @@ def test_eval_domain_errors(src, args):
 _numbers = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-def _ast_strategy():
-    leaves = st.one_of(
-        _numbers.map(Num),
-        st.sampled_from(["t", "y", "yp"]).map(Var),
-    )
+def _ast_strategy(variables=("t", "y", "yp")):
+    leaves = _numbers.map(Num)
+    if variables:
+        leaves = st.one_of(leaves, st.sampled_from(variables).map(Var))
 
     def extend(children):
         unary_calls = st.sampled_from(["exp", "sqrt", "abs", "atan", "sin", "cos", "log"])
@@ -143,6 +143,79 @@ def test_print_parse_round_trip(root):
 
     e = Expr(root)
     assert parse(to_source(e)) == e
+
+
+# -- compiled evaluation --------------------------------------------------------
+
+def _state_arrays(seed, n=24):
+    # nonnegative samples mixing exact zeros (domain faults), moderate and
+    # large values (overflow in exp and ^)
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, n)
+    t[rng.random(n) < 0.15] = 0.0
+
+    def state():
+        x = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 800.0, n))
+        x[rng.random(n) < 0.15] = 0.0
+        return x
+
+    return t, state(), state()
+
+
+def _outcome(fn):
+    try:
+        return fn().tobytes()
+    except EvalError:
+        return EvalError
+
+
+def _assert_matches_tree_walk(e, t, y, yp, work=None):
+    expected = _outcome(lambda: eval_tree(e, t, y, yp))
+    assert _outcome(lambda: e.eval_array(t, y, yp, work=work)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ast_strategy(), st.integers(0, 2**32 - 1))
+def test_tape_matches_tree_walk_bitwise(root, seed):
+    _assert_matches_tree_walk(Expr(root), *_state_arrays(seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ast_strategy(), st.integers(0, 2**32 - 1))
+def test_tape_through_a_reused_workspace_matches_tree_walk(f_example, root, seed):
+    t, y, yp = _state_arrays(seed)
+    work = Workspace(t)
+    f_example.eval_array(t, y, yp, work=work)  # another expression fills the registers first
+    e = Expr(root)
+    _assert_matches_tree_walk(e, t, y, yp, work)
+    # a second call reuses the t-only values computed by the first
+    _assert_matches_tree_walk(e, t, yp, y, work)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ast_strategy(("t",)), _ast_strategy(())), st.integers(0, 2**32 - 1))
+def test_t_only_and_constant_trees_match_tree_walk(root, seed):
+    t, y, yp = _state_arrays(seed)
+    e = Expr(root)
+    _assert_matches_tree_walk(e, t, y, yp)
+    work = Workspace(t)
+    for _ in range(2):
+        _assert_matches_tree_walk(e, t, y, yp, work)
+    # scalar and broadcast arguments take the same tape
+    _assert_matches_tree_walk(e, t[0], y[0], yp[0])
+    _assert_matches_tree_walk(e, t[:, None], y[None, :], 0.5)
+
+
+def test_workspace_result_is_a_register_the_caller_may_overwrite(f_example):
+    t, y, yp = _state_arrays(0)
+    work = Workspace(t)
+    expected = eval_tree(f_example, t, y, yp)
+    out = f_example.eval_array(t, y, yp, work=work)
+    out[:] = -1.0
+    assert f_example.eval_array(t, y, yp, work=work).tobytes() == expected.tobytes()
+    assert not np.shares_memory(out, y) and not np.shares_memory(out, t)
+    with pytest.raises(ValueError):
+        f_example.eval_array(t.copy(), y, yp, work=work)  # other points than the bound ones
 
 
 @settings(max_examples=200)

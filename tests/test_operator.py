@@ -7,10 +7,10 @@ import pytest
 
 from tripoint import (
     CoupledState,
+    EvalError,
     GridFunction,
     QuadratureRule,
-    apply_T1,
-    apply_T2,
+    apply_operator,
     integrate_kernel,
     interpolate,
     parse,
@@ -42,26 +42,26 @@ def test_coupled_state_requires_shared_nodes(nodes):
 
 
 def test_zero_source_gives_zero_output(params, nodes):
-    w = apply_T1(params, parse("0"), _random_nonneg_state(nodes, np.random.default_rng(0)))
+    w = apply_operator(params, parse("0"), _random_nonneg_state(nodes, np.random.default_rng(0)))
     assert np.all(w.values == 0.0)
     assert np.all(w.derivs == 0.0)
 
 
 def test_constant_source_matches_closed_form(params, nodes):
-    w = apply_T1(params, parse("1"), GridFunction.zeros(nodes))
+    w = apply_operator(params, parse("1"), GridFunction.zeros(nodes))
     assert np.max(np.abs(w.values - (5 / 8 * nodes**2 - nodes**3 / 6))) <= 1e-13
     assert np.max(np.abs(w.derivs - (5 / 4 * nodes - nodes**2 / 2))) <= 1e-13
 
 
 def test_output_vanishes_at_left_end(params, nodes, f_example):
-    w = apply_T1(params, f_example, _random_nonneg_state(nodes, np.random.default_rng(1)))
+    w = apply_operator(params, f_example, _random_nonneg_state(nodes, np.random.default_rng(1)))
     assert w.values[0] == 0.0
     assert w.derivs[0] == 0.0
 
 
 def test_example_source_at_zero_state_matches_oracle(params, nodes, f_example):
     # with v = v' = 0 the first source reduces to t^2 + 1
-    w = apply_T1(params, f_example, GridFunction.zeros(nodes))
+    w = apply_operator(params, f_example, GridFunction.zeros(nodes))
     u, du = poly_bvp_solution(Fraction(3, 2), Fraction(1, 2), [1, 0, 1])
     for i in range(0, nodes.size, 7):
         assert w.values[i] == pytest.approx(u(nodes[i]), abs=1e-12)
@@ -70,8 +70,8 @@ def test_example_source_at_zero_state_matches_oracle(params, nodes, f_example):
 
 def test_constant_pulls_out_of_the_integral(params, nodes, h_example):
     # with u = u' = 0 the second source is the constant atan(1) = pi/4
-    w = apply_T2(params, h_example, GridFunction.zeros(nodes))
-    base = apply_T2(params, parse("1"), GridFunction.zeros(nodes))
+    w = apply_operator(params, h_example, GridFunction.zeros(nodes))
+    base = apply_operator(params, parse("1"), GridFunction.zeros(nodes))
     assert np.max(np.abs(w.values - np.pi / 4 * base.values)) <= 1e-13
     assert np.max(np.abs(w.derivs - np.pi / 4 * base.derivs)) <= 1e-13
 
@@ -80,7 +80,7 @@ def test_linearity_in_the_source(params, nodes):
     v = GridFunction.zeros(nodes)
     f1, f2 = parse("t+1"), parse("t*t")
     combined = parse("2*(t+1)+3*(t*t)")
-    w1, w2, wc = (apply_T1(params, e, v) for e in (f1, f2, combined))
+    w1, w2, wc = (apply_operator(params, e, v) for e in (f1, f2, combined))
     assert np.max(np.abs(wc.values - (2 * w1.values + 3 * w2.values))) <= 1e-12
     assert np.max(np.abs(wc.derivs - (2 * w1.derivs + 3 * w2.derivs))) <= 1e-12
 
@@ -89,7 +89,7 @@ def test_outputs_are_nonnegative_and_nondecreasing(params, nodes, f_example, h_e
     rng = np.random.default_rng(5)
     for case in range(10):
         g = _random_nonneg_state(nodes, rng, scale=10.0 ** rng.uniform(-2, 2))
-        w = apply_T1(params, f_example, g) if case % 2 == 0 else apply_T2(params, h_example, g)
+        w = apply_operator(params, f_example, g) if case % 2 == 0 else apply_operator(params, h_example, g)
         assert np.min(w.values) >= -1e-12
         assert np.min(w.derivs) >= -1e-12
         assert np.min(np.diff(w.values)) >= -1e-12
@@ -102,14 +102,14 @@ def test_value_cone_bound_preserved(params, nodes, f_example):
     window = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
     for _ in range(10):
         g = _random_nonneg_state(nodes, rng, scale=10.0 ** rng.uniform(-2, 2))
-        w = apply_T1(params, f_example, g)
+        w = apply_operator(params, f_example, g)
         assert np.min(w.values[window]) >= params.k0 * np.max(np.abs(w.values)) - 1e-9
 
 
 def test_matches_pointwise_quadrature_path(params, nodes, f_example):
     # the node-moment fast path and the generic panel quadrature agree
     g = _random_nonneg_state(nodes, np.random.default_rng(2))
-    w = apply_T1(params, f_example, g)
+    w = apply_operator(params, f_example, g)
     rule = QuadratureRule(points_per_panel=10, breakpoints=tuple(np.linspace(0, 1, 65)))
 
     def source(s):
@@ -129,7 +129,7 @@ def test_matches_pointwise_quadrature_path(params, nodes, f_example):
 def test_output_derivatives_consistent_with_values(params, nodes, f_example):
     # finite differences of interpolated output values track the stored derivatives
     g = _random_nonneg_state(nodes, np.random.default_rng(8))
-    w = apply_T1(params, f_example, g)
+    w = apply_operator(params, f_example, g)
     t = np.linspace(0.01, 0.99, 197)
     h = 1e-6
     vp, _ = interpolate(w, t + h)
@@ -167,3 +167,59 @@ def test_split_panels_sample_through_interpolation(params, nodes, f_example):
     assert np.array_equal(w.values, ref.values) and np.array_equal(w.derivs, ref.derivs)
     with pytest.raises(ValueError):
         apply_operator(params, f_example, GridFunction.zeros(np.linspace(0, 1, 9)), rule, op)
+
+
+def _assert_same_bits(w, ref):
+    assert w.values.tobytes() == ref.values.tobytes()
+    assert w.derivs.tobytes() == ref.derivs.tobytes()
+
+
+@pytest.mark.parametrize("sized", [True, False])
+def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_example, sized):
+    # as in a solve, one operator (and its workspace) takes f and h in turn;
+    # a third source needs more rows than either, so the workspace moves to a
+    # larger block while f's t-only values are held, sized for f and h or not
+    from tripoint.integral_op import _MomentOperator
+
+    rule = QuadratureRule()
+    op = _MomentOperator(params, nodes, rule, (f_example, h_example) if sized else ())
+    k = parse("(t+2)*exp(0-yp) + t^3*(y*(y+yp) + sqrt(t)*yp)")
+    rng = np.random.default_rng(9)
+    kept = []
+    for src in (f_example, h_example, f_example, k, f_example, h_example, k):
+        g = _random_nonneg_state(nodes, rng, scale=10.0 ** rng.uniform(-1, 1))
+        w = apply_operator(params, src, g, rule, op)
+        _assert_same_bits(w, apply_operator(params, src, g, rule))
+        kept.append((w, w.values.tobytes(), w.derivs.tobytes()))
+    for w, values, derivs in kept:  # earlier outputs do not share the workspace
+        assert w.values.tobytes() == values and w.derivs.tobytes() == derivs
+    # a domain fault in the middle of a tape leaves the operator usable
+    with pytest.raises(EvalError):
+        apply_operator(params, parse("log(y-1)"), GridFunction.zeros(nodes), rule, op)
+    for src in (f_example, h_example, k):
+        g = _random_nonneg_state(nodes, rng)
+        _assert_same_bits(apply_operator(params, src, g, rule, op),
+                          apply_operator(params, src, g, rule))
+
+
+def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example):
+    import tracemalloc
+
+    from tripoint.integral_op import _MomentOperator
+
+    nodes = solver_nodes(2049, params)
+    rule = QuadratureRule()
+    op = _MomentOperator(params, nodes, rule, (f_example,))
+    g = _random_nonneg_state(nodes, np.random.default_rng(4))
+    apply_operator(params, f_example, g, rule, op)  # computes the t-only values
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        apply_operator(params, f_example, g, rule, op)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the node-sized temporaries of the moment combination and the output
+    # stay below one array of quadrature-point size
+    point_array = 8 * rule.points_per_panel * (nodes.size - 1)
+    assert peak < point_array

@@ -9,7 +9,7 @@ from tripoint import (
     ProblemParams,
     SolveConfig,
     SolveError,
-    apply_T1,
+    apply_operator,
     bc_defect,
     c1_norm,
     lincomb,
@@ -98,7 +98,7 @@ def test_fixed_point_certificate(params, f_example, h_example, example_solution)
     # after convergence, reapplying the sweep moves the state by at most
     # tol/damping in the C1 norm
     state, report = example_solution
-    w = apply_T1(params, f_example, state.v)
+    w = apply_operator(params, f_example, state.v)
     assert c1_norm(lincomb(1.0, w, -1.0, state.u)) <= 1e-10 / 1.0
 
 
@@ -176,6 +176,13 @@ def test_evaluation_errors_carry_iteration_index(params):
         solve(params, parse("log(y-1)"), parse("0"), SolveConfig(nodes=17, max_iters=5))
     assert exc.value.iteration == 1
     assert "iteration 1" in str(exc.value)
+
+
+def test_t_only_domain_fault_fails_the_first_sweep(params):
+    # a solve computes the t-only part sqrt(t-0.5) once, at its first sweep
+    with pytest.raises(SolveError) as exc:
+        solve(params, parse("sqrt(t-0.5)+y"), parse("1"), SolveConfig(nodes=17, max_iters=5))
+    assert exc.value.iteration == 1
 
 
 def test_report_serialization_round_trip(params, example_solution):

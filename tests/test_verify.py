@@ -8,7 +8,7 @@ from tripoint import (
     EvalError,
     GridFunction,
     ProblemParams,
-    apply_T1,
+    apply_operator,
     certify_kernel,
     cone_membership,
     g0_bound,
@@ -164,7 +164,7 @@ def test_operator_output_value_clause_holds(params, f_example):
         np.polynomial.polynomial.polyval(nodes, coef),
         np.polynomial.polynomial.polyval(nodes, np.polynomial.polynomial.polyder(coef)),
     )
-    report = cone_membership(params, apply_T1(params, f_example, v), slack=1e-9)
+    report = cone_membership(params, apply_operator(params, f_example, v), slack=1e-9)
     assert report.nonneg_ok
     assert report.value_lower_ok
     # no assertion on deriv_lower_ok: k1 = 1/2 exceeds the sharp derivative
