@@ -1,16 +1,32 @@
-"""Damped successive substitution for the coupled integral system.
+"""Secant-accelerated substitution for the coupled integral system.
 
-One sweep is Gauss-Seidel over the pair: u is refreshed from the current v,
-then v from the new u, each with relaxation factor ``damping``::
+A solution is a fixed point of the sweep map on v alone,
+``Phi(x) = T_h(T_f(x))``, where ``T_f`` and ``T_h`` are the two halves of
+the integral operator.  Sweep k evaluates it at the iterate x_k, which is
+v's node data (values and derivatives, one 2n-vector)::
 
-    u <- (1-lam) u + lam * integral G f(s, v, v')
-    v <- (1-lam) v + lam * integral G h(s, u, u')
+    u_k = T_f(x_k),   g_k = T_h(u_k),   r_k = g_k - x_k
 
-The iteration stops when the larger of the two C^1-norm step sizes drops to
+and mixes the next iterate by Anderson mixing of depth 1 (a secant step)
+with relaxation factor ``beta = damping``::
+
+    x_{k+1} = (1-beta) x_k + beta g_k - gamma (dx + beta dr)
+    gamma   = (dr . r_k) / (dr . dr),   dx = x_k - x_{k-1},   dr = r_k - r_{k-1}
+
+With gamma = 0 this is plain damped substitution.  The secant correction is
+applied only after a sweep whose step fell, and skipped when dr = 0; on a
+diverging iteration an unguarded secant can steer towards the trivial zero
+solution.  The step of sweep k is the larger of the C^1-norm changes
+``|u_k - u_{k-1}|`` and ``|r_k|``, and the iteration stops when it drops to
 ``tol``.  There is no general contraction guarantee, so a step-size increase
-drops the relaxation factor to 0.5 once as a safeguard; if the iteration
-still fails to settle within ``max_iters`` sweeps the report comes back with
-``converged=False`` rather than guessing.
+drops the relaxation factor to 0.5 once and restarts the secant memory; if
+the iteration still fails to settle within ``max_iters`` sweeps the report
+comes back with ``converged=False`` rather than guessing.
+
+The returned state is the last sweep's operator outputs ``(u_k, g_k)``,
+never the mixed iterate, so the boundary conditions hold to rounding and
+the positivity and cone grading see true operator outputs, whether or not
+the iteration converged.
 
 The returned report also grades the end state: third-derivative residuals of
 both differential equations (by finite differences of the interpolant on a
@@ -19,7 +35,7 @@ dense grid), boundary-condition defects, cone membership and positivity.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -93,19 +109,7 @@ class SolveReport:
     history: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iters": self.iters,
-            "final_step_norm": self.final_step_norm,
-            "residual_u": self.residual_u,
-            "residual_v": self.residual_v,
-            "bc_defect_u": self.bc_defect_u,
-            "bc_defect_v": self.bc_defect_v,
-            "cone_ok_u": self.cone_ok_u,
-            "cone_ok_v": self.cone_ok_v,
-            "positivity_ok": self.positivity_ok,
-            "history": list(self.history),
-        }
+        return asdict(self)
 
 
 def _initial_state(cfg: SolveConfig, nodes: np.ndarray) -> CoupledState:
@@ -124,17 +128,9 @@ def _initial_state(cfg: SolveConfig, nodes: np.ndarray) -> CoupledState:
     return CoupledState(const, const)
 
 
-def _relax(old: GridFunction, target: GridFunction, lam: float) -> tuple[GridFunction, float]:
-    """Damped update (1-lam)*old + lam*target and its C^1-norm step from old."""
-    new = GridFunction(
-        old.nodes, (1 - lam) * old.values + lam * target.values,
-        (1 - lam) * old.derivs + lam * target.derivs,
-    )
-    step = max(
-        np.max(np.abs(new.values - old.values)),
-        np.max(np.abs(new.derivs - old.derivs)),
-    )
-    return new, step
+def _node_data(g: GridFunction) -> np.ndarray:
+    """g's values and derivs as one 2n-vector; its max-abs entry is the C^1 norm."""
+    return np.concatenate([g.values, g.derivs])
 
 
 def solve(
@@ -146,29 +142,39 @@ def solve(
     rule = QuadratureRule(points_per_panel=cfg.quad_points)
     op = _MomentOperator(p, nodes, rule, (f, h))
     state = _initial_state(cfg, nodes)
-    u, v = state.u, state.v
-
-    lam = cfg.damping
+    n = nodes.size
+    beta = cfg.damping
     fell_back = False
     history: list[float] = []
     prev_step = np.inf
     converged = False
+    x, u_prev = _node_data(state.v), _node_data(state.u)
+    secant = None  # (x, r) of the previous sweep
     for it in range(1, cfg.max_iters + 1):
         try:
-            u, step_u = _relax(u, apply_operator(p, f, v, rule, op), lam)
-            v, step_v = _relax(v, apply_operator(p, h, u, rule, op), lam)
+            u = apply_operator(p, f, GridFunction(nodes, x[:n], x[n:]), rule, op)
+            v = apply_operator(p, h, u, rule, op)
         except EvalError as err:
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
-        step = float(max(step_u, step_v))
+        u_data, g = _node_data(u), _node_data(v)
+        r = g - x
+        step = float(max(np.max(np.abs(u_data - u_prev)), np.max(np.abs(r))))
         history.append(step)
         if step <= cfg.tol:
             converged = True
             break
-        if step > prev_step and not fell_back and lam > 0.5:
+        restart = step > prev_step and not fell_back and beta > 0.5
+        if restart:
             logger.info("step norm increased at iteration %d; damping reduced to 0.5", it)
-            lam = 0.5
-            fell_back = True
-        prev_step = step
+            beta, fell_back = 0.5, True
+        x_next = (1 - beta) * x + beta * g
+        if step < prev_step and secant is not None:
+            dx, dr = x - secant[0], r - secant[1]
+            drdr = float(dr @ dr)
+            if drdr > 0.0:
+                x_next -= float(dr @ r) / drdr * (dx + beta * dr)
+        secant = None if restart else (x, r)
+        x, u_prev, prev_step = x_next, u_data, step
 
     state = CoupledState(u, v)
     res_u, res_v = residual(p, state, f, h)

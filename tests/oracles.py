@@ -20,6 +20,9 @@ conditions and ``np.select``.
 :func:`eval_tree` is the recursive tree evaluator that ``Expr.eval_array``
 used before it was compiled to a flat tape: one numpy operation per node,
 children first, every intermediate a fresh array.
+
+:func:`picard_solve` is the damped Gauss-Seidel successive substitution that
+``solve`` ran before its sweeps were secant-accelerated, loop for loop.
 """
 from __future__ import annotations
 
@@ -28,6 +31,10 @@ from fractions import Fraction
 import numpy as np
 
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
+from tripoint.gridfn import GridFunction, solver_nodes
+from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator
+from tripoint.quadrature import QuadratureRule
+from tripoint.solver import SolveConfig, SolveError, _initial_state
 
 
 def poly_bvp_solution(alpha, eta, qcoeffs):
@@ -139,3 +146,52 @@ def eval_tree(e, t, y, yp):
     if not np.all(np.isfinite(out)):
         raise EvalError("expression produced a non-finite value")
     return out.copy()
+
+
+def _relax(old: GridFunction, target: GridFunction, lam: float) -> tuple[GridFunction, float]:
+    """Damped update (1-lam)*old + lam*target and its C^1-norm step from old."""
+    new = GridFunction(
+        old.nodes, (1 - lam) * old.values + lam * target.values,
+        (1 - lam) * old.derivs + lam * target.derivs,
+    )
+    step = max(
+        np.max(np.abs(new.values - old.values)),
+        np.max(np.abs(new.derivs - old.derivs)),
+    )
+    return new, step
+
+
+def picard_solve(p, f, h, cfg=SolveConfig()):
+    """Damped Gauss-Seidel sweeps to a fixed point; returns (state, converged, history).
+
+    One sweep refreshes u from v, then v from the new u, each as
+    (1-lam)*old + lam*T(...), and a step-size increase drops lam to 0.5 once.
+    """
+    cfg.validate()
+    nodes = solver_nodes(cfg.nodes, p)
+    rule = QuadratureRule(points_per_panel=cfg.quad_points)
+    op = _MomentOperator(p, nodes, rule, (f, h))
+    state = _initial_state(cfg, nodes)
+    u, v = state.u, state.v
+
+    lam = cfg.damping
+    fell_back = False
+    history: list[float] = []
+    prev_step = np.inf
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        try:
+            u, step_u = _relax(u, apply_operator(p, f, v, rule, op), lam)
+            v, step_v = _relax(v, apply_operator(p, h, u, rule, op), lam)
+        except EvalError as err:
+            raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
+        step = float(max(step_u, step_v))
+        history.append(step)
+        if step <= cfg.tol:
+            converged = True
+            break
+        if step > prev_step and not fell_back and lam > 0.5:
+            lam = 0.5
+            fell_back = True
+        prev_step = step
+    return CoupledState(u, v), converged, history

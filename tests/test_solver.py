@@ -7,6 +7,7 @@ from tripoint import (
     CoupledState,
     GridFunction,
     ProblemParams,
+    QuadratureRule,
     SolveConfig,
     SolveError,
     apply_operator,
@@ -18,6 +19,32 @@ from tripoint import (
     solve,
     solver_nodes,
 )
+from oracles import picard_solve
+
+# nonnegative profiles phi(y, yp) for y, yp >= 0; the first group is positive
+# at the zero state, so a source led by one cannot stop at the zero solution
+_POSITIVE_PROFILES = (
+    "exp(-y)", "exp(-yp)", "atan(y+1)", "atan(yp+1)",
+    "1/(1+y)", "1/(1+yp)", "sqrt(1+y)", "sqrt(1+yp)",
+)
+_VANISHING_PROFILES = ("sqrt(abs(y))", "sqrt(abs(yp))", "log(1+y)", "log(1+yp)")
+
+
+def _seeded_problem(seed):
+    """Admissible (alpha, eta) and two sources of 3-8 terms c*t^m*phi(y, yp)."""
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.2, 0.8)
+    params = ProblemParams(rng.uniform(1.0, 0.8 / eta), eta)
+
+    def source():
+        terms = []
+        for k in range(rng.integers(3, 9)):
+            pool = _POSITIVE_PROFILES + (_VANISHING_PROFILES if k else ())
+            phi = pool[rng.integers(len(pool))]
+            terms.append(f"{rng.uniform(0.1, 1.0):.4f}*t^{rng.integers(0, 4)}*{phi}")
+        return parse("+".join(terms))
+
+    return params, source(), source()
 
 
 def _poly_state(params, nodes=None):
@@ -95,8 +122,9 @@ def test_history_tracks_steps(params, example_solution):
 
 
 def test_fixed_point_certificate(params, f_example, h_example, example_solution):
-    # after convergence, reapplying the sweep moves the state by at most
-    # tol/damping in the C1 norm
+    # the returned u is T_f of the last iterate x and v = T_h(u); the last
+    # step bounds |v - x| by tol, so reapplying T_f to v moves u by about
+    # tol times T_f's Lipschitz constant in the C1 norm
     state, report = example_solution
     w = apply_operator(params, f_example, state.v)
     assert c1_norm(lincomb(1.0, w, -1.0, state.u)) <= 1e-10 / 1.0
@@ -213,3 +241,42 @@ def test_solve_builds_its_discretisation_once(params, f_example, h_example, monk
     _, report = solve(params, f_example, h_example, SolveConfig(nodes=65))
     assert report.iters >= 5
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [("example", 1.5, 0.5), ("example", 1.2, 0.3), ("example", 2.5, 0.3)]
+    + [("seeded", seed) for seed in range(16)],
+    ids=lambda c: "-".join(map(str, c)),
+)
+def test_solve_agrees_with_picard_reference(problem, f_example, h_example):
+    if problem[0] == "example":
+        p, f, h = ProblemParams(*problem[1:]), f_example, h_example
+    else:
+        p, f, h = _seeded_problem(problem[1])
+    cfg = SolveConfig(nodes=129, tol=1e-10)
+    state, report = solve(p, f, h, cfg)
+    ref, ref_converged, ref_history = picard_solve(p, f, h, cfg)
+    assert report.converged and ref_converged
+    assert report.iters <= len(ref_history)
+    for g, g_ref in ((state.u, ref.u), (state.v, ref.v)):
+        assert c1_norm(lincomb(1.0, g, -1.0, g_ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("nodes", [65, 129])
+def test_example_converges_in_few_sweeps(params, f_example, h_example, nodes):
+    # plain substitution takes 13 sweeps here
+    _, report = solve(params, f_example, h_example, SolveConfig(nodes=nodes, tol=1e-10))
+    assert report.converged
+    assert report.iters <= 8
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 200])
+def test_solve_returns_operator_outputs(params, f_example, h_example, max_iters):
+    # v is T_h of the returned u, never an extrapolated iterate
+    cfg = SolveConfig(nodes=129, max_iters=max_iters)
+    state, report = solve(params, f_example, h_example, cfg)
+    assert report.converged == (max_iters == 200)
+    w = apply_operator(params, h_example, state.u, QuadratureRule(cfg.quad_points))
+    assert w.values.tobytes() == state.v.values.tobytes()
+    assert w.derivs.tobytes() == state.v.derivs.tobytes()
