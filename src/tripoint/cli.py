@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .expr import EvalError, ParseError, parse
+from .expr import _T_ONLY, EvalError, _uses, parse
 from .gridfn import GridFunction
 from .kernel import ProblemParams
 from .solver import SolveConfig, SolveError, solve
@@ -32,14 +33,7 @@ DEFAULT_CONFIG = {
     "eta": None,
     "f": None,
     "h": None,
-    "solver": {
-        "nodes": 65,
-        "tol": 1e-10,
-        "max_iters": 200,
-        "damping": 1.0,
-        "quad_points": 8,
-        "initial": "zero",
-    },
+    "solver": dataclasses.asdict(SolveConfig()),
     "outputs": {"csv": None, "json": None},
 }
 
@@ -150,7 +144,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         quad_points=int(s["quad_points"]),
         initial=_parse_initial(s["initial"]),
     )
-    solve_cfg.validate()
     state, report = solve(p, f, h, solve_cfg)
     print(
         f"converged: {str(report.converged).lower()}  iters: {report.iters}"
@@ -204,24 +197,9 @@ def _split_direction(text: str) -> tuple[str, str]:
 def _direction_callable(src: str):
     e = parse(src)
     # directions are profiles of t only; y/yp would be circular here
-    for name in ("y", "yp"):
-        if _uses_variable(e.root, name):
-            raise InputError(f"direction component {src!r} may only use the variable t")
+    if _uses(e.root, {}) & ~_T_ONLY:
+        raise InputError(f"direction component {src!r} may only use the variable t")
     return lambda tg: e.eval_array(tg, np.zeros_like(tg), np.zeros_like(tg))
-
-
-def _uses_variable(node, name: str) -> bool:
-    from .expr import Bin, Call, Neg, Var
-
-    if isinstance(node, Var):
-        return node.name == name
-    if isinstance(node, Neg):
-        return _uses_variable(node.operand, name)
-    if isinstance(node, Bin):
-        return _uses_variable(node.lhs, name) or _uses_variable(node.rhs, name)
-    if isinstance(node, Call):
-        return any(_uses_variable(a, name) for a in node.args)
-    return False
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -307,13 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ParseError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except SolveError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except EvalError as err:
+    except (ValueError, SolveError, EvalError) as err:  # InputError, ParseError included
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -61,11 +61,6 @@ class GridFunction:
         z = np.zeros_like(nodes)
         return cls(nodes, z, z)
 
-    @classmethod
-    def from_callable(cls, nodes, fn, dfn) -> "GridFunction":
-        nodes = np.asarray(nodes, dtype=float)
-        return cls(nodes, fn(nodes), dfn(nodes))
-
     def __call__(self, t):
         return interpolate(self, t)
 

@@ -15,10 +15,12 @@ of the cumulative source moments
 
 taken at panel boundaries.  The source is therefore evaluated once per sweep
 on a shared panel decomposition (all nodes, eta, and the rule's breakpoints),
-and each node costs O(1) arithmetic afterwards.  Every coefficient carries a
-factor t or t^2, so outputs vanish (value and derivative) exactly at t = 0,
-and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise makes the three-point
-derivative condition hold to rounding for any source.
+and each node costs O(1) arithmetic afterwards.  The s^0, s^1, s^2
+coefficients of the branches come from :mod:`tripoint.kernel`; this module
+only knows which branch covers which interval.  At t = 0 branches 2 and 4
+vanish and branch 1 spans [0, 0], so outputs vanish (value and derivative)
+exactly there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise makes the
+three-point derivative condition hold to rounding for any source.
 
 The discretisation (panels, Gauss points, node positions) depends only on
 the parameters, the node set and the rule, so a solve builds one
@@ -33,8 +35,8 @@ tabulated q x 4 basis.  Panels that split node intervals fall back to
 A solve also names its two sources when it builds the operator.  The
 operator then holds one block with the Gauss points and weights, the state
 samples, the moment sums and the registers of both sources
-(:class:`~tripoint.expr.Workspace`), and it builds the branch coefficients
-of the moment combination once.  A warm half-sweep therefore allocates only
+(:class:`~tripoint.expr.Workspace`), and it computes the weights of the
+moments at every node once.  A warm half-sweep therefore allocates only
 node-sized arrays.  The t-only parts of each source, such as ``t^2+1``, are
 evaluated at its first half-sweep and kept for the rest of the solve.
 """
@@ -46,9 +48,9 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Expr, Workspace
+from .expr import EvalError, Expr, Workspace
 from .gridfn import GridFunction, interpolate
-from .kernel import ProblemParams
+from .kernel import ProblemParams, _branch_coefficients
 from .quadrature import QuadratureRule, _leggauss, panel_points
 
 __all__ = ["CoupledState", "apply_operator"]
@@ -85,13 +87,18 @@ class _MomentOperator:
     of panel j.
 
     Everything a half-sweep needs beyond the state and the source is built
-    here once: the branch coefficients of the moment combination, and one
-    block holding the sampled values and slopes, the 4 x panels node-data
-    stack and the cumulative moments.  The source is evaluated through
-    :attr:`work`, an expression workspace at the quadrature points, so a warm
-    half-sweep allocates no array of quadrature-point size.  The arrays
-    :meth:`sample` returns on the tabulated path and the source register
-    :meth:`apply` consumes are overwritten by the next half-sweep.
+    here once, in one block: the sampled values and slopes, the 4 x panels
+    node-data stack, the cumulative moments, and the weights of ``P_k(t)``,
+    ``P_k(eta)`` and ``P_k(1)`` in G and dG/dt at every node (2 x 3 x 3 x
+    nodes), regrouped from the kernel's branch coefficients.  A node ``t``
+    integrates branch 1 over ``[0, min(t, eta)]``, branch 2 (``t <= eta``) or
+    branch 3 between ``t`` and ``eta``, and branch 4 over ``[max(t, eta), 1]``,
+    so :meth:`apply` is one contraction of the moments with the weights.
+    The source is evaluated through :attr:`work`, an expression workspace at
+    the quadrature points, so a warm half-sweep allocates no array of
+    quadrature-point size.  The arrays :meth:`sample` returns on the
+    tabulated path and the source register :meth:`apply` consumes are
+    overwritten by the next half-sweep.
     """
 
     def __init__(self, p: ProblemParams, nodes: np.ndarray, rule: QuadratureRule,
@@ -104,15 +111,18 @@ class _MomentOperator:
         n_rows = Workspace.rows_for(sources)
         # one block: Gauss points and weights, sampled values and slopes
         # (q x m each), the node-data stack (4 x m), panel sums (m),
-        # cumulative moments (3 x (m+1)) and the source registers
-        shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (n_rows, q * m)]
+        # cumulative moments (3 x (m+1)), the moment weights (2 x 3 x 3 x
+        # nodes) and the source registers
+        shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (2, 3, 3, nodes.size),
+                                 (n_rows, q * m)]
         block = np.empty(sum(int(np.prod(sh)) for sh in shapes))
         views, at = [], 0
         for sh in shapes:
             size = int(np.prod(sh))
             views.append(block[at : at + size].reshape(sh))
             at += size
-        self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums, rows = views
+        (self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums,
+         self._weights, rows) = views
         self.s[:], self.w[:] = s.T, w.T
         self._cums[:, 0] = 0.0
         self.s_flat = self.s.ravel()
@@ -134,20 +144,16 @@ class _MomentOperator:
         else:
             self.node_pos = np.searchsorted(bounds, nodes)
 
-        t = nodes
-        a, e, den = p.alpha, p.eta, p.gap
-        self.lo = t <= e
-        t2 = t * t
-        # value combination: branch polynomials of G grouped by s-interval,
-        # as (A1, B0, B1, C0, C1, D0)
-        self.value_coef = (
-            t + t2 * (a - 1) / (2 * den), t2 / 2, t2 * (a - 1) / (2 * den),
-            t2 * a * e / (2 * den), t - t2 / (2 * den), t2 / (2 * den),
-        )
-        # derivative combination: branch polynomials of dG/dt, as (a1, b1, c0, c1, d0)
-        self.deriv_coef = (
-            1 + t * (a - 1) / den, t * (a - 1) / den, t * a * e / den, 1 - t / den, t / den,
-        )
+        # weights of P_k(t), P_k(eta) and P_k(1): where(t <= eta, c1 - c2,
+        # c3 - c4), where(t <= eta, c2 - c4, c1 - c3) and c4, written in place
+        c1, c2, c3, c4 = _branch_coefficients(p, nodes)
+        hi = nodes > p.eta
+        w_t, w_eta, w_1 = self._weights.swapaxes(0, 1)
+        np.subtract(c1, c2, out=w_t)
+        np.subtract(c3, c4, out=w_t, where=hi)
+        np.subtract(c2, c4, out=w_eta)
+        np.subtract(c1, c3, out=w_eta, where=hi)
+        w_1[:] = c4
 
     def sample(self, g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
         """Value and slope of g's Hermite interpolant at the quadrature points."""
@@ -172,7 +178,6 @@ class _MomentOperator:
 
         ``src_vals`` is overwritten: it becomes w * s^2 * src.
         """
-        t = self.nodes
         # w * s^k * src: one in-place multiply by s per further moment
         wphi = src_vals.reshape(self.s.shape)
         np.multiply(self.w, wphi, out=wphi)
@@ -182,32 +187,11 @@ class _MomentOperator:
                 wphi *= self.s
             np.sum(wphi, axis=0, out=self._panel_sum)
             np.cumsum(self._panel_sum, out=cums[k, 1:])
-        # P_k(x) at the node positions and at the seam eta / the right end
-        P = cums[:, self.node_pos]
-        Pe = cums[:, self.eta_pos]
-        P1 = cums[:, -1]
-
-        A1, B0, B1, C0, C1, D0 = self.value_coef
-        values = np.where(
-            self.lo,
-            A1 * P[1] - 0.5 * P[2]
-            + B0 * (Pe[0] - P[0]) + B1 * (Pe[1] - P[1])
-            + D0 * ((P1[0] - Pe[0]) - (P1[1] - Pe[1])),
-            A1 * Pe[1] - 0.5 * Pe[2]
-            + C0 * (P[0] - Pe[0]) + C1 * (P[1] - Pe[1]) - 0.5 * (P[2] - Pe[2])
-            + D0 * ((P1[0] - P[0]) - (P1[1] - P[1])),
-        )
-        a1, b1, c0, c1, d0 = self.deriv_coef
-        derivs = np.where(
-            self.lo,
-            a1 * P[1]
-            + t * (Pe[0] - P[0]) + b1 * (Pe[1] - P[1])
-            + d0 * ((P1[0] - Pe[0]) - (P1[1] - Pe[1])),
-            a1 * Pe[1]
-            + c0 * (P[0] - Pe[0]) + c1 * (P[1] - Pe[1])
-            + d0 * ((P1[0] - P[0]) - (P1[1] - P[1])),
-        )
-        return values, derivs
+        # P_k at the nodes, and P_0..2(eta), P_0..2(1)
+        out = np.einsum("kn,jkn->jn", cums[:, self.node_pos], self._weights[:, 0])
+        ends = cums[:, (self.eta_pos, -1)].T.ravel()
+        out += ends @ self._weights[:, 1:].reshape(2, 6, -1)
+        return out[0], out[1]
 
 
 def _sample_state(op: _MomentOperator, g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +200,14 @@ def _sample_state(op: _MomentOperator, g: GridFunction) -> tuple[np.ndarray, np.
     The source expressions are only defined for nonnegative state arguments;
     interpolation may overshoot below zero by a rounding-level amount, which
     is clamped (and logged) rather than passed through.  The samples are
-    arrays the operator owns, so they are clamped in place.
+    arrays the operator owns, so they are clamped in place.  A state too large
+    to sample in floating point raises :class:`EvalError`.
     """
-    vals, ders = op.sample(g)
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            vals, ders = op.sample(g)
+    except FloatingPointError as err:
+        raise EvalError(f"non-finite state samples: {err}") from err
     n_neg = np.count_nonzero(vals < 0.0) + np.count_nonzero(ders < 0.0)
     if n_neg:
         logger.debug("clamped %d negative interpolated state samples to 0", n_neg)

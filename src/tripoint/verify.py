@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EvalError, Expr, evaluate
+from .expr import EvalError, Expr, _first_faulting_sample
 from .gridfn import GridFunction
 from .kernel import ProblemParams, g0_bound, g1_bound, green, green_dt
 
@@ -232,17 +232,8 @@ def growth_scan(
             try:
                 num = e.eval_array(tg[ok], c * ph[ok], c * ps[ok])
             except EvalError as err:
-                t_bad = _first_faulting_t(e, tg[ok], c * ph[ok], c * ps[ok])
+                t_bad = _first_faulting_sample(e, tg[ok], c * ph[ok], c * ps[ok])[0]
                 raise EvalError(f"{err} at scale c={c:g}, t={t_bad:g}") from err
             best = max(best, float(np.max(num / denom)))
         ratios[i] = best
     return GrowthScan(scales=sc, ratios=ratios)
-
-
-def _first_faulting_t(e: Expr, tg, ys, yps) -> float:
-    for t0, y0, p0 in zip(tg, ys, yps):
-        try:
-            evaluate(e, t0, y0, p0)
-        except EvalError:
-            return float(t0)
-    return float(tg[0])

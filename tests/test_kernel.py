@@ -135,6 +135,25 @@ def test_branch_continuity_random_params(p):
             assert abs(vals[b_lo] - vals[b_hi]) <= 1e-12
 
 
+@settings(max_examples=60)
+@given(
+    admissible_params(),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    st.floats(0.0, 1.0),
+)
+def test_branch_coefficients_reproduce_the_branches(p, t, s):
+    from tripoint.kernel import _branch_coefficients
+
+    t = np.array(t)
+    coef = _branch_coefficients(p, t)  # branch, kernel, power of s, t
+    assert coef.shape == (4, 2, 3, t.size)
+    powers = s ** np.arange(3.0)
+    for j, branches in enumerate((green_branches, green_dt_branches)):
+        got = np.einsum("bkn,k->nb", coef[:, j], powers)
+        scale = np.max(np.abs(coef[:, j]))
+        assert np.max(np.abs(got - branches(p, t, s))) <= 1e-14 * scale
+
+
 def test_seam_selection_is_value_irrelevant(params):
     # the selected value equals both adjacent branch formulas at exact ties
     for ti in (0.2, 0.5, 0.8):

@@ -199,6 +199,20 @@ def test_divergent_system_reports_nonconvergence(params):
     assert report.history[-1] > report.history[0]
 
 
+def test_state_overflow_is_a_solve_error_without_warnings(params):
+    # the divergent system, run until the state no longer fits in a float
+    import warnings
+
+    cfg = SolveConfig(nodes=17, max_iters=200, initial=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolveError) as exc:
+            solve(params, parse("100*y"), parse("100*y"), cfg)
+    message = str(exc.value)
+    assert "non-finite state samples: overflow" in message
+    assert f"iteration {exc.value.iteration}" in message
+
+
 def test_evaluation_errors_carry_iteration_index(params):
     with pytest.raises(SolveError) as exc:
         solve(params, parse("log(y-1)"), parse("0"), SolveConfig(nodes=17, max_iters=5))

@@ -10,6 +10,7 @@ from tripoint import (
     ProblemParams,
     apply_operator,
     certify_kernel,
+    check_nonnegative_sampled,
     cone_membership,
     g0_bound,
     g1_bound,
@@ -233,3 +234,16 @@ def test_scan_errors_carry_scale_and_position():
     e = parse("log(y-5)")
     with pytest.raises(EvalError, match=r"scale c=.*t="):
         growth_scan(e, scales=np.array([1e-3, 1.0]))
+
+
+def test_fault_locations_name_the_first_faulting_sample():
+    # sqrt(0.5-t) first faults at the sixth of ten t samples, 5/9; sqrt(1-y)
+    # along y = c*t at c = 2 first faults at t = 0.51 of 101 samples
+    domain = "domain error while evaluating expression: invalid value encountered in sqrt"
+    with pytest.raises(EvalError) as exc:
+        check_nonnegative_sampled(parse("sqrt(0.5-t)"))
+    assert str(exc.value) == f"{domain} at sample (t=0.555556, y=0, yp=0)"
+    ramp = [(lambda t: t, lambda t: np.ones_like(t))]
+    with pytest.raises(EvalError) as exc:
+        growth_scan(parse("sqrt(1-y)"), directions=ramp, scales=np.array([0.5, 2.0]))
+    assert str(exc.value) == f"{domain} at scale c=2, t=0.51"
