@@ -21,7 +21,7 @@ from .expr import (
     parse,
     to_source,
 )
-from .gridfn import GridFunction, c1_norm, chebyshev_nodes, interpolate, lincomb, solver_nodes
+from .gridfn import GridFunction, chebyshev_nodes, interpolate, solver_nodes
 from .integral_op import CoupledState, apply_operator
 from .kernel import (
     ProblemParams,
@@ -32,7 +32,6 @@ from .kernel import (
     green_branches,
     green_dt_branches,
 )
-from .quadrature import QuadratureRule, integrate_kernel
 from .solver import SolveConfig, SolveError, SolveReport, bc_defect, residual, solve
 from .verify import (
     CertificationReport,
@@ -41,7 +40,6 @@ from .verify import (
     KernelCheck,
     certify_kernel,
     cone_membership,
-    default_directions,
     default_scales,
     growth_scan,
 )
@@ -60,19 +58,16 @@ __all__ = [
     "NonnegativityReport",
     "ParseError",
     "ProblemParams",
-    "QuadratureRule",
     "SamplingPlan",
     "SolveConfig",
     "SolveError",
     "SolveReport",
     "apply_operator",
     "bc_defect",
-    "c1_norm",
     "certify_kernel",
     "check_nonnegative_sampled",
     "chebyshev_nodes",
     "cone_membership",
-    "default_directions",
     "default_scales",
     "evaluate",
     "g0_bound",
@@ -82,9 +77,7 @@ __all__ = [
     "green_dt",
     "green_dt_branches",
     "growth_scan",
-    "integrate_kernel",
     "interpolate",
-    "lincomb",
     "parse",
     "residual",
     "solve",

@@ -15,14 +15,7 @@ import numpy as np
 
 from .kernel import ProblemParams
 
-__all__ = [
-    "GridFunction",
-    "interpolate",
-    "c1_norm",
-    "chebyshev_nodes",
-    "solver_nodes",
-    "lincomb",
-]
+__all__ = ["GridFunction", "interpolate", "chebyshev_nodes", "solver_nodes"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -65,6 +58,22 @@ class GridFunction:
         return interpolate(self, t)
 
 
+def _hermite_basis(x) -> tuple[tuple, tuple]:
+    """Cubic Hermite weights at the reference coordinates x in [0, 1].
+
+    Returns the four value weights and the four slope weights, each in the
+    order (v_j, d_j, v_{j+1}, d_{j+1}).  Value weights multiply
+    (v_j, h d_j, v_{j+1}, h d_{j+1}) and slope weights multiply
+    (v_j / h, d_j, v_{j+1} / h, d_{j+1}) on an interval of width h.
+    """
+    x2 = x * x
+    x3 = x2 * x
+    return (
+        (2 * x3 - 3 * x2 + 1, x3 - 2 * x2 + x, -2 * x3 + 3 * x2, x3 - x2),
+        (6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x, 3 * x2 - 2 * x),
+    )
+
+
 def interpolate(g: GridFunction, t):
     """Evaluate (value, derivative) of the cubic Hermite interpolant at t.
 
@@ -79,38 +88,12 @@ def interpolate(g: GridFunction, t):
     i = np.clip(np.searchsorted(nodes, t_arr, side="right"), 1, nodes.size - 1)
     i0 = i - 1
     h = nodes[i] - nodes[i0]
-    x = (t_arr - nodes[i0]) / h
-    x2 = x * x
-    x3 = x2 * x
-    value = (
-        (2 * x3 - 3 * x2 + 1) * vals[i0]
-        + (x3 - 2 * x2 + x) * h * ders[i0]
-        + (-2 * x3 + 3 * x2) * vals[i]
-        + (x3 - x2) * h * ders[i]
-    )
-    deriv = (
-        (6 * x2 - 6 * x) / h * vals[i0]
-        + (3 * x2 - 4 * x + 1) * ders[i0]
-        + (-6 * x2 + 6 * x) / h * vals[i]
-        + (3 * x2 - 2 * x) * ders[i]
-    )
+    (b0, b1, b2, b3), (s0, s1, s2, s3) = _hermite_basis((t_arr - nodes[i0]) / h)
+    value = b0 * vals[i0] + b1 * h * ders[i0] + b2 * vals[i] + b3 * h * ders[i]
+    deriv = s0 / h * vals[i0] + s1 * ders[i0] + s2 / h * vals[i] + s3 * ders[i]
     if scalar:
         return float(value), float(deriv)
     return value, deriv
-
-
-def c1_norm(g: GridFunction) -> float:
-    """max(max |values|, max |derivs|) over the nodes."""
-    return float(max(np.max(np.abs(g.values)), np.max(np.abs(g.derivs))))
-
-
-def lincomb(a: float, g1: GridFunction, b: float, g2: GridFunction) -> GridFunction:
-    """a*g1 + b*g2 on a shared node set."""
-    if not np.array_equal(g1.nodes, g2.nodes):
-        raise ValueError("grid functions must share the same node set")
-    return GridFunction(
-        g1.nodes, a * g1.values + b * g2.values, a * g1.derivs + b * g2.derivs
-    )
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:

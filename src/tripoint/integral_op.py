@@ -13,24 +13,23 @@ of the cumulative source moments
 
     P_k(x) = integral_0^x s^k src(...) ds,   k = 0, 1, 2,
 
-taken at panel boundaries.  The source is therefore evaluated once per sweep
-on a shared panel decomposition (all nodes, eta, and the rule's breakpoints),
-and each node costs O(1) arithmetic afterwards.  The s^0, s^1, s^2
-coefficients of the branches come from :mod:`tripoint.kernel`; this module
-only knows which branch covers which interval.  At t = 0 branches 2 and 4
-vanish and branch 1 spans [0, 0], so outputs vanish (value and derivative)
-exactly there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise makes the
-three-point derivative condition hold to rounding for any source.
+taken at the nodes.  The operator requires the node set to contain eta, as
+:func:`~tripoint.gridfn.solver_nodes` guarantees; then every seam is a node,
+every quadrature panel is a whole node interval, and each node costs O(1)
+arithmetic once the source has been evaluated at the Gauss points.  The s^0,
+s^1, s^2 coefficients of the branches come from :mod:`tripoint.kernel`; this
+module only knows which branch covers which interval.  At t = 0 branches 2
+and 4 vanish and branch 1 spans [0, 0], so outputs vanish (value and
+derivative) exactly there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise
+makes the three-point derivative condition hold to rounding for any source.
 
-The discretisation (panels, Gauss points, node positions) depends only on
-the parameters, the node set and the rule, so a solve builds one
-:class:`_MomentOperator` and reuses it for every half-sweep.  When every
-panel is a whole node interval (the node set holds eta and the rule's only
-breakpoints are 0 and 1, as in a solve), the Gauss points sit at the same
-reference coordinates in every panel, and sampling the state's cubic
-Hermite interpolant is a product of the per-panel node data with a
-tabulated q x 4 basis.  Panels that split node intervals fall back to
-:func:`interpolate`.
+The discretisation (panels, Gauss points, moment weights) depends only on
+the parameters, the node set and the number of Gauss points per panel, so a
+solve builds one :class:`_MomentOperator` and reuses it for every
+half-sweep.  The Gauss points sit at the same reference coordinates in every
+panel, so sampling the state's cubic Hermite interpolant is a product of the
+per-panel node data with a tabulated q x 4 basis
+(:func:`~tripoint.gridfn._hermite_basis`).
 
 A solve also names its two sources when it builds the operator.  The
 operator then holds one block with the Gauss points and weights, the state
@@ -44,18 +43,37 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .expr import EvalError, Expr, Workspace
-from .gridfn import GridFunction, interpolate
+# interpolate is not called here; perfbench/tracing.py wraps it by this name
+from .gridfn import GridFunction, _hermite_basis, interpolate  # noqa: F401
 from .kernel import ProblemParams, _branch_coefficients
-from .quadrature import QuadratureRule, _leggauss, panel_points
 
 __all__ = ["CoupledState", "apply_operator"]
 
 logger = logging.getLogger(__name__)
+
+
+@lru_cache(maxsize=None)
+def _leggauss(q: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(q)
+
+
+def panel_points(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points and weights for the panels defined by ``breaks``.
+
+    Returns arrays of shape (panels, q).
+    """
+    gx, gw = _leggauss(q)
+    a = np.asarray(breaks[:-1], dtype=float)
+    b = np.asarray(breaks[1:], dtype=float)
+    half = (b - a)[:, None] / 2.0
+    mid = (a + b)[:, None] / 2.0
+    return mid + half * gx[None, :], half * gw[None, :]
 
 
 @dataclass(frozen=True)
@@ -77,12 +95,13 @@ class CoupledState:
 class _MomentOperator:
     """Cumulative-moment evaluation of the kernel integrals at the nodes.
 
-    Built once per node set and rule; :meth:`sample` and :meth:`apply` may
-    then be called for any number of states on that node set.  Quadrature
-    arrays are stored as (q, panels), so the per-panel sums run over
-    contiguous rows.  When the panel bounds are exactly the nodes, the
-    Hermite basis at the Gauss points is tabulated as two q x 4 matrices:
-    one weighs (v_j, h_j d_j, v_{j+1}, h_j d_{j+1}) into values, the other
+    Built once per parameter pair, node set and Gauss order ``quad_points``;
+    the node set must contain eta.  :meth:`sample` and :meth:`apply` may then
+    be called for any number of states on that node set.  Quadrature arrays
+    are stored as (q, panels), so the per-panel sums run over contiguous
+    rows.  The panels are the node intervals, and the Hermite basis at the
+    Gauss points is tabulated as two q x 4 matrices: one weighs
+    (v_j, h_j d_j, v_{j+1}, h_j d_{j+1}) into values, the other
     (v_j / h_j, d_j, v_{j+1} / h_j, d_{j+1}) into slopes, with h_j the width
     of panel j.
 
@@ -96,18 +115,20 @@ class _MomentOperator:
     so :meth:`apply` is one contraction of the moments with the weights.
     The source is evaluated through :attr:`work`, an expression workspace at
     the quadrature points, so a warm half-sweep allocates no array of
-    quadrature-point size.  The arrays :meth:`sample` returns on the
-    tabulated path and the source register :meth:`apply` consumes are
-    overwritten by the next half-sweep.
+    quadrature-point size.  The arrays :meth:`sample` returns and the source
+    register :meth:`apply` consumes are overwritten by the next half-sweep.
     """
 
-    def __init__(self, p: ProblemParams, nodes: np.ndarray, rule: QuadratureRule,
+    def __init__(self, p: ProblemParams, nodes: np.ndarray, quad_points: int,
                  sources: tuple[Expr, ...] = ()):
+        if quad_points < 2:
+            raise ValueError("quad_points must be >= 2")
+        if p.eta not in nodes:
+            raise ValueError("the node set must contain eta")
         self.p = p
         self.nodes = nodes
-        bounds = np.unique(np.concatenate([nodes, np.asarray(rule.breakpoints), [p.eta]]))
-        s, w = panel_points(bounds, rule.points_per_panel)
-        m, q = s.shape
+        self.quad_points = quad_points
+        m, q = nodes.size - 1, quad_points
         n_rows = Workspace.rows_for(sources)
         # one block: Gauss points and weights, sampled values and slopes
         # (q x m each), the node-data stack (4 x m), panel sums (m),
@@ -123,42 +144,30 @@ class _MomentOperator:
             at += size
         (self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums,
          self._weights, rows) = views
-        self.s[:], self.w[:] = s.T, w.T
+        self.s.T[:], self.w.T[:] = panel_points(nodes, q)
         self._cums[:, 0] = 0.0
         self.s_flat = self.s.ravel()
         self.work = Workspace(self.s_flat, sources, rows)
-        self.eta_pos = int(np.searchsorted(bounds, p.eta))
-        self.basis = None
-        if np.array_equal(bounds, nodes):
-            x = (_leggauss(rule.points_per_panel)[0] + 1.0) / 2.0
-            x2 = x * x
-            x3 = x2 * x
-            self.h = np.diff(nodes)
-            self.basis = np.column_stack(
-                [2 * x3 - 3 * x2 + 1, x3 - 2 * x2 + x, -2 * x3 + 3 * x2, x3 - x2]
-            )
-            self.slope_basis = np.column_stack(
-                [6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x, 3 * x2 - 2 * x]
-            )
-            self.node_pos = slice(None)
-        else:
-            self.node_pos = np.searchsorted(bounds, nodes)
+        self.eta_pos = int(np.searchsorted(nodes, p.eta))
+        self.h = np.diff(nodes)
+        values, slopes = _hermite_basis((_leggauss(q)[0] + 1.0) / 2.0)
+        self.basis = np.column_stack(values)
+        self.slope_basis = np.column_stack(slopes)
 
         # weights of P_k(t), P_k(eta) and P_k(1): where(t <= eta, c1 - c2,
-        # c3 - c4), where(t <= eta, c2 - c4, c1 - c3) and c4, written in place
-        c1, c2, c3, c4 = _branch_coefficients(p, nodes)
+        # c3 - c4), where(t <= eta, c2 - c4, c1 - c3) and c4, written in
+        # place one kernel at a time (G, then dG/dt)
         hi = nodes > p.eta
-        w_t, w_eta, w_1 = self._weights.swapaxes(0, 1)
-        np.subtract(c1, c2, out=w_t)
-        np.subtract(c3, c4, out=w_t, where=hi)
-        np.subtract(c2, c4, out=w_eta)
-        np.subtract(c1, c3, out=w_eta, where=hi)
-        w_1[:] = c4
+        for (w_t, w_eta, w_1), dt in zip(self._weights, (False, True)):
+            c1, c2, c3, c4 = _branch_coefficients(p, nodes, dt)
+            np.subtract(c1, c2, out=w_t)
+            np.subtract(c3, c4, out=w_t, where=hi)
+            np.subtract(c2, c4, out=w_eta)
+            np.subtract(c1, c3, out=w_eta, where=hi)
+            w_1[:] = c4
 
     def sample(self, g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
         """Value and slope of g's Hermite interpolant at the quadrature points."""
-        if self.basis is None:
-            return interpolate(g, self.s_flat)
         v, d, h, stack = g.values, g.derivs, self.h, self._stack
         v0, v1, d0, d1 = v[:-1], v[1:], d[:-1], d[1:]
         stack[0] = v0
@@ -188,7 +197,7 @@ class _MomentOperator:
             np.sum(wphi, axis=0, out=self._panel_sum)
             np.cumsum(self._panel_sum, out=cums[k, 1:])
         # P_k at the nodes, and P_0..2(eta), P_0..2(1)
-        out = np.einsum("kn,jkn->jn", cums[:, self.node_pos], self._weights[:, 0])
+        out = np.einsum("kn,jkn->jn", cums, self._weights[:, 0])
         ends = cums[:, (self.eta_pos, -1)].T.ravel()
         out += ends @ self._weights[:, 1:].reshape(2, 6, -1)
         return out[0], out[1]
@@ -220,20 +229,23 @@ def apply_operator(
     p: ProblemParams,
     src: Expr,
     state: GridFunction,
-    rule: QuadratureRule = QuadratureRule(),
+    quad_points: int = 8,
     op: Optional[_MomentOperator] = None,
 ) -> GridFunction:
     """One half of the coupled sweep: integrate src(s, state, state') against the kernel.
 
     Returns a grid function on the same node set whose values come from G and
     whose derivatives come from dG/dt.  Output value and derivative at t = 0
-    are exactly zero.  ``op`` is a discretisation built beforehand for
-    ``(p, state.nodes, rule)``; without it one is built for this call.
+    are exactly zero.  The node set must contain eta.  ``op`` is a
+    discretisation built beforehand for ``(p, state.nodes, quad_points)``;
+    without it one is built for this call.
     """
     if op is None:
-        op = _MomentOperator(p, state.nodes, rule, (src,))
-    elif not np.array_equal(op.nodes, state.nodes):
-        raise ValueError("the moment operator was built for a different node set")
+        op = _MomentOperator(p, state.nodes, quad_points, (src,))
+    elif (op.p != p or op.quad_points != quad_points
+          or not np.array_equal(op.nodes, state.nodes)):
+        raise ValueError("the moment operator was built for other parameters, "
+                         "nodes or quad_points")
     y, yp = _sample_state(op, state)
     src_vals = src.eval_array(op.s_flat, y, yp, work=op.work)
     values, derivs = op.apply(src_vals)

@@ -129,23 +129,22 @@ def _green_dt_terms(p: ProblemParams, t, s) -> tuple[tuple, float]:
     return (b1, rise, sden + t * (p.alpha * p.eta - s), t * (1 - s)), den
 
 
-def _branch_coefficients(p: ProblemParams, t) -> np.ndarray:
-    """The s^0, s^1, s^2 coefficients of each branch of G and dG/dt at t.
+def _branch_coefficients(p: ProblemParams, t, dt: bool = False) -> np.ndarray:
+    """The s^0, s^1, s^2 coefficients of each branch of G (or dG/dt) at t.
 
-    Returns an array of shape ``(4, 2, 3) + t.shape``: branch, kernel (G,
-    then dG/dt), power of s.  Each branch is a quadratic in s, so its values
-    a, b, e at s = 0, 1/2, 1 give the coefficients a, 4b - 3a - e and
-    2(a + e) - 4b.  The arithmetic runs on t-sized arrays, so no temporary
-    larger than t is built.
+    Returns an array of shape ``(4, 3) + t.shape``: branch, power of s.
+    Each branch is a quadratic in s, so its values a, b, e at s = 0, 1/2, 1
+    give the coefficients a, 4b - 3a - e and 2(a + e) - 4b.  The arithmetic
+    runs on t-sized arrays, so no temporary larger than t is built.
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty((4, 2, 3) + t.shape)
-    for kernel, terms in enumerate((_green_terms, _green_dt_terms)):
-        (v0, den), (vh, _), (v1, _) = (terms(p, t, s) for s in (0.0, 0.5, 1.0))
-        for c, a, b, e in zip(out[:, kernel], v0, vh, v1):
-            c[0] = a / den
-            c[1] = (4 * b - 3 * a - e) / den
-            c[2] = (2 * (a + e) - 4 * b) / den
+    terms = _green_dt_terms if dt else _green_terms
+    out = np.empty((4, 3) + t.shape)
+    (v0, den), (vh, _), (v1, _) = (terms(p, t, s) for s in (0.0, 0.5, 1.0))
+    for c, a, b, e in zip(out, v0, vh, v1):
+        c[0] = a / den
+        c[1] = (4 * b - 3 * a - e) / den
+        c[2] = (2 * (a + e) - 4 * b) / den
     return out
 
 

@@ -45,7 +45,6 @@ from .expr import EvalError, Expr
 from .gridfn import GridFunction, interpolate, solver_nodes
 from .integral_op import CoupledState, _MomentOperator, apply_operator
 from .kernel import ProblemParams
-from .quadrature import QuadratureRule
 
 __all__ = ["SolveConfig", "SolveReport", "SolveError", "solve", "residual", "bc_defect"]
 
@@ -139,8 +138,7 @@ def solve(
     """Iterate the coupled sweep to a fixed point and grade the result."""
     cfg.validate()
     nodes = solver_nodes(cfg.nodes, p)
-    rule = QuadratureRule(points_per_panel=cfg.quad_points)
-    op = _MomentOperator(p, nodes, rule, (f, h))
+    op = _MomentOperator(p, nodes, cfg.quad_points, (f, h))
     state = _initial_state(cfg, nodes)
     n = nodes.size
     beta = cfg.damping
@@ -152,8 +150,8 @@ def solve(
     secant = None  # (x, r) of the previous sweep
     for it in range(1, cfg.max_iters + 1):
         try:
-            u = apply_operator(p, f, GridFunction(nodes, x[:n], x[n:]), rule, op)
-            v = apply_operator(p, h, u, rule, op)
+            u = apply_operator(p, f, GridFunction(nodes, x[:n], x[n:]), cfg.quad_points, op)
+            v = apply_operator(p, h, u, cfg.quad_points, op)
         except EvalError as err:
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         u_data, g = _node_data(u), _node_data(v)

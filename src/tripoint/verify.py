@@ -31,7 +31,6 @@ __all__ = [
     "cone_membership",
     "GrowthScan",
     "growth_scan",
-    "default_directions",
     "default_scales",
 ]
 
@@ -174,7 +173,7 @@ def cone_membership(p: ProblemParams, g: GridFunction, slack: float = 1e-9) -> C
 Direction = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
-def default_directions() -> list[Direction]:
+def _default_directions() -> list[Direction]:
     """(phi, psi) profiles: (1,1), (1,0), (0,1), (t,1).
 
     The degenerate profiles keep one of the two state amplitudes pinned while
@@ -211,7 +210,7 @@ def growth_scan(
     its state arguments along the chosen rays.  Samples where |phi|+|psi| = 0
     cannot define a ratio and are skipped.
     """
-    dirs = list(directions) if directions is not None else default_directions()
+    dirs = list(directions) if directions is not None else _default_directions()
     sc = np.asarray(scales if scales is not None else default_scales(), dtype=float)
     if sc.size == 0 or np.any(sc <= 0) or np.any(np.diff(sc) <= 0):
         raise ValueError("scales must be positive and strictly increasing")

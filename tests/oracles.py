@@ -21,19 +21,27 @@ conditions and ``np.select``.
 used before it was compiled to a flat tape: one numpy operation per node,
 children first, every intermediate a fresh array.
 
+:func:`integrate_kernel` integrates ``K(t, s) w(s)`` for one ``t`` by
+Gauss-Legendre panels split at the kernel seams ``s = t`` and ``s = eta``
+(and at a :class:`QuadratureRule`'s breakpoints), evaluating the kernel
+pointwise; it shares only ``panel_points`` with the moment operator.
+
+:func:`c1_norm` and :func:`lincomb` compare grid functions node by node.
+
 :func:`picard_solve` is the damped Gauss-Seidel successive substitution that
 ``solve`` ran before its sweeps were secant-accelerated, loop for loop.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
 from tripoint.gridfn import GridFunction, solver_nodes
-from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator
-from tripoint.quadrature import QuadratureRule
+from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
+from tripoint.kernel import ProblemParams, green, green_dt
 from tripoint.solver import SolveConfig, SolveError, _initial_state
 
 
@@ -104,6 +112,80 @@ def select_first_match(p, t, s, branches):
     return np.select(conds, list(np.moveaxis(branches, -1, 0)))
 
 
+KERNELS = ("G", "dG")
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss order per panel plus a base set of panel breakpoints.
+
+    ``breakpoints`` must cover [0, 1] (0 and 1 included); per call the
+    integration routines add the kernel seams {t, eta}.
+    """
+
+    points_per_panel: int = 8
+    breakpoints: tuple[float, ...] = (0.0, 1.0)
+
+    def __post_init__(self) -> None:
+        if self.points_per_panel < 2:
+            raise ValueError("points_per_panel must be >= 2")
+        pts = tuple(sorted(set(float(b) for b in self.breakpoints)))
+        if not pts or pts[0] != 0.0 or pts[-1] != 1.0:
+            raise ValueError("breakpoints must include 0.0 and 1.0")
+        if pts[0] < 0.0 or pts[-1] > 1.0:
+            raise ValueError("breakpoints must lie in [0, 1]")
+        object.__setattr__(self, "breakpoints", pts)
+
+
+def _merged_breaks(rule: QuadratureRule, extra: tuple[float, ...]) -> np.ndarray:
+    pts = np.array(sorted(set(rule.breakpoints) | {float(x) for x in extra}))
+    keep = np.concatenate([[True], np.diff(pts) > 1e-15])
+    return pts[keep]
+
+
+def integrate_kernel(
+    p: ProblemParams,
+    kernel: str,
+    t: float,
+    w,
+    rule: QuadratureRule = QuadratureRule(),
+) -> float:
+    """Approximate ``integral_0^1 K(t, s) w(s) ds`` with seam-split panels.
+
+    ``kernel`` selects K: "G" for the Green's function, "dG" for its
+    t-derivative.  ``w`` is a callable accepting a numpy array of s values
+    (a scalar return value broadcasts).  Panels split at ``s = t`` and
+    ``s = eta`` in addition to the rule's own breakpoints.
+    """
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    breaks = _merged_breaks(rule, (t, p.eta))
+    x, wts = panel_points(breaks, rule.points_per_panel)
+    x_flat = x.ravel()
+    kv = green(p, t, x_flat) if kernel == "G" else green_dt(p, t, x_flat)
+    fv = np.asarray(w(x_flat), dtype=float)
+    if fv.ndim == 0:
+        fv = np.full_like(x_flat, float(fv))
+    return float(np.sum(wts.ravel() * kv * fv))
+
+
+def c1_norm(g: GridFunction) -> float:
+    """max(max |values|, max |derivs|) over the nodes."""
+    return float(max(np.max(np.abs(g.values)), np.max(np.abs(g.derivs))))
+
+
+def lincomb(a: float, g1: GridFunction, b: float, g2: GridFunction) -> GridFunction:
+    """a*g1 + b*g2 on a shared node set."""
+    if not np.array_equal(g1.nodes, g2.nodes):
+        raise ValueError("grid functions must share the same node set")
+    return GridFunction(
+        g1.nodes, a * g1.values + b * g2.values, a * g1.derivs + b * g2.derivs
+    )
+
+
 def _eval_node(node, env):
     if isinstance(node, Num):
         return np.asarray(node.value)
@@ -169,8 +251,7 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
     """
     cfg.validate()
     nodes = solver_nodes(cfg.nodes, p)
-    rule = QuadratureRule(points_per_panel=cfg.quad_points)
-    op = _MomentOperator(p, nodes, rule, (f, h))
+    op = _MomentOperator(p, nodes, cfg.quad_points, (f, h))
     state = _initial_state(cfg, nodes)
     u, v = state.u, state.v
 
@@ -181,8 +262,8 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
     converged = False
     for it in range(1, cfg.max_iters + 1):
         try:
-            u, step_u = _relax(u, apply_operator(p, f, v, rule, op), lam)
-            v, step_v = _relax(v, apply_operator(p, h, u, rule, op), lam)
+            u, step_u = _relax(u, apply_operator(p, f, v, cfg.quad_points, op), lam)
+            v, step_v = _relax(v, apply_operator(p, h, u, cfg.quad_points, op), lam)
         except EvalError as err:
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         step = float(max(step_u, step_v))

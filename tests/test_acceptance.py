@@ -21,16 +21,13 @@ from tripoint import (
     ProblemParams,
     apply_operator,
     bc_defect,
-    c1_norm,
     certify_kernel,
     cone_membership,
     green_branches,
     green_dt,
     green_dt_branches,
     growth_scan,
-    integrate_kernel,
     interpolate,
-    lincomb,
     parse,
     solve,
     solver_nodes,
@@ -39,7 +36,7 @@ from tripoint import (
 from tripoint import ParseError, SolveConfig
 from tripoint.expr import evaluate
 
-from oracles import poly_bvp_solution
+from oracles import c1_norm, integrate_kernel, lincomb, poly_bvp_solution
 from test_expr import GOLDEN
 
 

@@ -1,0 +1,34 @@
+"""The documented and exported API: the README sketch runs, every export resolves."""
+from __future__ import annotations
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import tripoint
+
+README = Path(__file__).parent.parent / "README.md"
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(tripoint.__path__))
+
+
+def test_readme_library_sketch_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md: Library sketch", "exec"), {})
+
+
+def test_star_import_resolves_every_export():
+    namespace: dict = {}
+    exec("from tripoint import *", namespace)
+    assert set(tripoint.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_exports_resolve(name):
+    module = importlib.import_module(f"tripoint.{name}")
+    for attr in getattr(module, "__all__", ()):
+        assert hasattr(module, attr), f"tripoint.{name}.__all__ names missing {attr!r}"

@@ -6,12 +6,12 @@ import pytest
 from tripoint import (
     GridFunction,
     ProblemParams,
-    c1_norm,
     chebyshev_nodes,
     interpolate,
-    lincomb,
     solver_nodes,
 )
+
+from oracles import c1_norm, lincomb
 
 
 def _uniform(n):

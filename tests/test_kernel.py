@@ -145,7 +145,8 @@ def test_branch_coefficients_reproduce_the_branches(p, t, s):
     from tripoint.kernel import _branch_coefficients
 
     t = np.array(t)
-    coef = _branch_coefficients(p, t)  # branch, kernel, power of s, t
+    # branch, kernel, power of s, t
+    coef = np.stack([_branch_coefficients(p, t, dt) for dt in (False, True)], axis=1)
     assert coef.shape == (4, 2, 3, t.size)
     powers = s ** np.arange(3.0)
     for j, branches in enumerate((green_branches, green_dt_branches)):

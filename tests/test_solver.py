@@ -7,19 +7,16 @@ from tripoint import (
     CoupledState,
     GridFunction,
     ProblemParams,
-    QuadratureRule,
     SolveConfig,
     SolveError,
     apply_operator,
     bc_defect,
-    c1_norm,
-    lincomb,
     parse,
     residual,
     solve,
     solver_nodes,
 )
-from oracles import picard_solve
+from oracles import c1_norm, lincomb, picard_solve
 
 # nonnegative profiles phi(y, yp) for y, yp >= 0; the first group is positive
 # at the zero state, so a source led by one cannot stop at the zero solution
@@ -291,6 +288,6 @@ def test_solve_returns_operator_outputs(params, f_example, h_example, max_iters)
     cfg = SolveConfig(nodes=129, max_iters=max_iters)
     state, report = solve(params, f_example, h_example, cfg)
     assert report.converged == (max_iters == 200)
-    w = apply_operator(params, h_example, state.u, QuadratureRule(cfg.quad_points))
+    w = apply_operator(params, h_example, state.u, cfg.quad_points)
     assert w.values.tobytes() == state.v.values.tobytes()
     assert w.derivs.tobytes() == state.v.derivs.tobytes()
