@@ -29,8 +29,6 @@ from .kernel import (
     g1_bound,
     green,
     green_dt,
-    green_branches,
-    green_dt_branches,
 )
 from .solver import SolveConfig, SolveError, SolveReport, bc_defect, residual, solve
 from .verify import (
@@ -73,9 +71,7 @@ __all__ = [
     "g0_bound",
     "g1_bound",
     "green",
-    "green_branches",
     "green_dt",
-    "green_dt_branches",
     "growth_scan",
     "interpolate",
     "parse",

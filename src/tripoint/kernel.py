@@ -38,8 +38,6 @@ __all__ = [
     "ProblemParams",
     "green",
     "green_dt",
-    "green_branches",
-    "green_dt_branches",
     "g0_bound",
     "g1_bound",
 ]
@@ -148,12 +146,6 @@ def _branch_coefficients(p: ProblemParams, t, dt: bool = False) -> np.ndarray:
     return out
 
 
-def _table(p: ProblemParams, t, s, terms) -> np.ndarray:
-    t_arr, s_arr, _ = _prepare(t, s)
-    b, den = terms(p, t_arr, s_arr)
-    return np.stack(np.broadcast_arrays(*b), axis=-1) / den
-
-
 def _kernel(p: ProblemParams, t, s, terms):
     # where(s <= eta, where(s <= t, b1, b2), where(s <= t, b3, b4)), written
     # into the branch temporaries: the first region in branch order that
@@ -167,21 +159,6 @@ def _kernel(p: ProblemParams, t, s, terms):
     np.copyto(b4, b2, where=s_arr <= p.eta)
     b4 /= den
     return float(b4) if scalar else b4
-
-
-def green_branches(p: ProblemParams, t, s) -> np.ndarray:
-    """Evaluate all four branch formulas of G at (t, s), regardless of region.
-
-    Returns an array with a trailing axis of length 4 in branch order.  Only
-    the branch whose region contains (t, s) equals G there; adjacent branches
-    agree on the seams ``s = t`` and ``s = eta`` (an algebraic identity).
-    """
-    return _table(p, t, s, _green_terms)
-
-
-def green_dt_branches(p: ProblemParams, t, s) -> np.ndarray:
-    """Branch formulas of dG/dt at (t, s); same layout as :func:`green_branches`."""
-    return _table(p, t, s, _green_dt_terms)
 
 
 def green(p: ProblemParams, t, s):

@@ -8,12 +8,16 @@ stated envelopes with a small absolute slack for rounding:
 * ``0 <= dG/dt(t,s) <= g1(s)``        on [0,1]^2
 * ``dG/dt(t,s) >= k1*g1(s)``          on [eta/alpha, eta] x [0,1]
 
-These are grid sweeps, not proofs; a PASS means no violation beyond the slack
-was found at the requested resolution.  The growth scan likewise only samples
-ratio curves along user-chosen directions; it claims nothing about limits.
+The sweep evaluates the kernels on blocks of rows, a ``(b, 1)`` t-column
+against the ``(1, m)`` s-row, and keeps a running worst point per check, so no
+array of the full grid is built.  These are grid sweeps, not proofs; a PASS
+means no violation beyond the slack was found at the requested resolution.
+The growth scan likewise only samples ratio curves along user-chosen
+directions; it claims nothing about limits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +39,8 @@ __all__ = [
 ]
 
 MIN_GRID = 11
+#: points per row block of the kernel sweep: 40 rows, 256 KiB per array, at grid 801
+_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -69,9 +75,13 @@ class CertificationReport:
         }
 
 
-def _worst(violation: np.ndarray, tg: np.ndarray, sg: np.ndarray) -> tuple[float, float, float]:
-    i, j = np.unravel_index(int(np.argmax(violation)), violation.shape)
-    return float(violation[i, j]), float(tg[i]), float(sg[j])
+#: the four graded inequalities, in report order
+_CHECKS = (
+    ("green_envelope", "0 <= G(t,s) <= g0(s) on [0,1]^2"),
+    ("green_cone_lower", "G(t,s) >= k0*g0(s) on [eta/alpha,eta]x[0,1]"),
+    ("green_dt_envelope", "0 <= dG/dt(t,s) <= g1(s) on [0,1]^2"),
+    ("green_dt_cone_lower", "dG/dt(t,s) >= k1*g1(s) on [eta/alpha,eta]x[0,1]"),
+)
 
 
 def certify_kernel(
@@ -83,46 +93,47 @@ def certify_kernel(
 ) -> CertificationReport:
     """Grade the four kernel inequalities on grid_n x grid_n sweeps.
 
+    The t-grid is swept in blocks of ``b`` rows, about ``_BLOCK_POINTS``
+    points each, so no array of the full grid is built.  Each check keeps a
+    running worst ``(violation, t, s)``; a later block replaces it only when
+    strictly larger, and a NaN, once found, is never replaced.  That is the
+    point ``np.argmax`` picks on the full grid: the first maximum in row-major
+    order, or the first NaN.
+
     ``green_fn``/``green_dt_fn`` exist so the harness itself can be exercised
     against a deliberately corrupted kernel.  They are called with
-    broadcastable ``(n, 1)`` t-columns and a ``(1, m)`` s-row and must return
-    the broadcast ``(n, m)`` grid, as :func:`~tripoint.kernel.green` does.
+    broadcastable ``(b, 1)`` t-columns and a ``(1, m)`` s-row and must return
+    the broadcast ``(b, m)`` block, as :func:`~tripoint.kernel.green` does.
     """
     if grid_n < MIN_GRID:
         raise ValueError(f"grid too coarse: grid_n must be >= {MIN_GRID}")
     sg = np.linspace(0.0, 1.0, grid_n)
     tg = np.linspace(0.0, 1.0, grid_n)
     tw = np.linspace(p.eta / p.alpha, p.eta, grid_n)
-    T, Tw, S = tg[:, None], tw[:, None], sg[None, :]
+    S = sg[None, :]
     g0 = g0_bound(p, S)
     g1 = g1_bound(p, S)
-
-    checks = []
-    G = green_fn(p, T, S)
-    v, vt, vs = _worst(np.maximum(-G, G - g0), tg, sg)
-    checks.append(KernelCheck(
-        "green_envelope", "0 <= G(t,s) <= g0(s) on [0,1]^2",
-        v <= slack, v, vt, vs,
-    ))
-    Gw = green_fn(p, Tw, S)
-    v, vt, vs = _worst(p.k0 * g0 - Gw, tw, sg)
-    checks.append(KernelCheck(
-        "green_cone_lower", "G(t,s) >= k0*g0(s) on [eta/alpha,eta]x[0,1]",
-        v <= slack, v, vt, vs,
-    ))
-    D = green_dt_fn(p, T, S)
-    v, vt, vs = _worst(np.maximum(-D, D - g1), tg, sg)
-    checks.append(KernelCheck(
-        "green_dt_envelope", "0 <= dG/dt(t,s) <= g1(s) on [0,1]^2",
-        v <= slack, v, vt, vs,
-    ))
-    Dw = green_dt_fn(p, Tw, S)
-    v, vt, vs = _worst(p.k1 * g1 - Dw, tw, sg)
-    checks.append(KernelCheck(
-        "green_dt_cone_lower", "dG/dt(t,s) >= k1*g1(s) on [eta/alpha,eta]x[0,1]",
-        v <= slack, v, vt, vs,
-    ))
-    return CertificationReport(grid_n=grid_n, slack=slack, checks=tuple(checks))
+    k0g0, k1g1 = p.k0 * g0, p.k1 * g1
+    rows = max(1, _BLOCK_POINTS // grid_n)
+    worst = [None] * 4
+    for lo in range(0, grid_n, rows):
+        T, Tw = tg[lo:lo + rows, None], tw[lo:lo + rows, None]
+        G, D = green_fn(p, T, S), green_dt_fn(p, T, S)
+        Gw, Dw = green_fn(p, Tw, S), green_dt_fn(p, Tw, S)
+        graded = ((np.maximum(-G, G - g0), tg), (k0g0 - Gw, tw),
+                  (np.maximum(-D, D - g1), tg), (k1g1 - Dw, tw))
+        for c, (violation, ts) in enumerate(graded):
+            k = int(np.argmax(violation))
+            v = float(violation.flat[k])
+            w = worst[c]
+            if w is None or not math.isnan(w[0]) and (math.isnan(v) or v > w[0]):
+                i, j = np.unravel_index(k, violation.shape)
+                worst[c] = (v, float(ts[lo + i]), float(sg[j]))
+    checks = tuple(
+        KernelCheck(name, description, v <= slack, v, vt, vs)
+        for (name, description), (v, vt, vs) in zip(_CHECKS, worst)
+    )
+    return CertificationReport(grid_n=grid_n, slack=slack, checks=checks)
 
 
 @dataclass(frozen=True)

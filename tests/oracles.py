@@ -15,7 +15,10 @@ For the Green's kernel, :func:`branch_table` writes out the four branch
 formulas of G and dG/dt term by term on broadcast full-size arrays, and
 :func:`select_first_match` picks the branch per point: the first region in
 branch order that holds ``(t, s)`` wins, evaluated with four full-size
-conditions and ``np.select``.
+conditions and ``np.select``.  :func:`green_branches` and
+:func:`green_dt_branches` stack the package's own branch terms
+(``kernel._green_terms``/``_green_dt_terms``) the same way, so the tests can
+hold each branch against :func:`branch_table` and at the seams.
 
 :func:`eval_tree` is the recursive tree evaluator that ``Expr.eval_array``
 used before it was compiled to a flat tape: one numpy operation per node,
@@ -41,7 +44,7 @@ import numpy as np
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
 from tripoint.gridfn import GridFunction, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
-from tripoint.kernel import ProblemParams, green, green_dt
+from tripoint.kernel import ProblemParams, _green_dt_terms, _green_terms, _prepare, green, green_dt
 from tripoint.solver import SolveConfig, SolveError, _initial_state
 
 
@@ -110,6 +113,28 @@ def select_first_match(p, t, s, branches):
         np.maximum(e, t) <= s,
     ]
     return np.select(conds, list(np.moveaxis(branches, -1, 0)))
+
+
+def _table(p, t, s, terms):
+    t_arr, s_arr, _ = _prepare(t, s)
+    b, den = terms(p, t_arr, s_arr)
+    return np.stack(np.broadcast_arrays(*b), axis=-1) / den
+
+
+def green_branches(p, t, s):
+    """Evaluate all four branch formulas of G at (t, s), regardless of region.
+
+    Returns an array with a trailing axis of length 4 in branch order.  Only
+    the branch whose region contains (t, s) equals G there; adjacent branches
+    agree on the seams ``s = t`` and ``s = eta`` (an algebraic identity).
+    Unlike :func:`branch_table`, this reads the package's own branch terms.
+    """
+    return _table(p, t, s, _green_terms)
+
+
+def green_dt_branches(p, t, s):
+    """Branch formulas of dG/dt at (t, s); same layout as :func:`green_branches`."""
+    return _table(p, t, s, _green_dt_terms)
 
 
 KERNELS = ("G", "dG")

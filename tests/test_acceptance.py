@@ -23,9 +23,7 @@ from tripoint import (
     bc_defect,
     certify_kernel,
     cone_membership,
-    green_branches,
     green_dt,
-    green_dt_branches,
     growth_scan,
     interpolate,
     parse,
@@ -36,7 +34,14 @@ from tripoint import (
 from tripoint import ParseError, SolveConfig
 from tripoint.expr import evaluate
 
-from oracles import c1_norm, integrate_kernel, lincomb, poly_bvp_solution
+from oracles import (
+    c1_norm,
+    green_branches,
+    green_dt_branches,
+    integrate_kernel,
+    lincomb,
+    poly_bvp_solution,
+)
 from test_expr import GOLDEN
 
 

@@ -1,9 +1,9 @@
-"""Smoke run of the benchmark harness: one short traced pass of sweep-129.
+"""Smoke runs of the benchmark harness: short traced passes of two workloads.
 
 The tracer in ``perfbench/tracing.py`` wraps program attributes by name, so
 a rename in ``src/`` breaks the benchmark without failing any other test.
-This test runs the harness as a subprocess and checks its verdict and its
-bookkeeping; it asserts no timings.
+These tests run the harness as a subprocess and check its verdict and its
+bookkeeping; they assert no timings.
 """
 from __future__ import annotations
 
@@ -28,3 +28,16 @@ def test_traced_sweep_run_is_correct():
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     assert metrics["integral_op.apply_calls"] == 2 * metrics["solver.iters"]
     assert metrics["expr.eval_calls"] >= metrics["integral_op.apply_calls"]
+
+
+def test_traced_certify_run_reaches_the_kernels():
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "certify-801",
+           "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    details_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    details, result = json.loads(details_line), json.loads(result_line)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert details["harness_problems"] == []
+    assert result["metrics"]["kernel.green_s"]["value"] > 0

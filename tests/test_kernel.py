@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import branch_table, select_first_match
+from oracles import branch_table, green_branches, green_dt_branches, select_first_match
 from tripoint import (
     ProblemParams,
     g0_bound,
     g1_bound,
     green,
-    green_branches,
     green_dt,
-    green_dt_branches,
 )
 
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import select_first_match
+from oracles import green_branches, green_dt_branches, select_first_match
 
 from tripoint import (
     EvalError,
@@ -15,9 +15,7 @@ from tripoint import (
     g0_bound,
     g1_bound,
     green,
-    green_branches,
     green_dt,
-    green_dt_branches,
     growth_scan,
     parse,
     solver_nodes,
@@ -115,6 +113,58 @@ def test_certify_matches_meshgrid_reference_bitwise(params):
         got = [(c.name, c.passed, c.worst_violation.hex(), c.worst_t.hex(), c.worst_s.hex())
                for c in report.checks]
         assert got == _meshgrid_certification(p, 101), (p.alpha, p.eta)
+
+
+def _graded(report):
+    return [(c.name, c.passed, c.worst_violation.hex(), c.worst_t.hex(), c.worst_s.hex())
+            for c in report.checks]
+
+
+def test_certify_row_blocks_keep_the_full_grid_argmax(params, monkeypatch):
+    import tripoint.verify as verify
+
+    # 401 points per row: blocks of 81 rows, five of them
+    for p in (params, ProblemParams(2.0, 1 / 3)):
+        tw = np.linspace(p.eta / p.alpha, p.eta, 401)
+        got = _graded(certify_kernel(p, grid_n=401))
+        assert got == _meshgrid_certification(p, 401), (p.alpha, p.eta)
+        # dG/dt(t, 0) = 0 on every row: the tie goes to the first row
+        assert got[3][3:] == (tw[0].hex(), (0.0).hex())
+
+    # three rows per block at grid 23: the last of eight blocks holds two rows
+    monkeypatch.setattr(verify, "_BLOCK_POINTS", 3 * 23)
+    for p in (params, ProblemParams(2.0, 1 / 3)):
+        assert _graded(certify_kernel(p, grid_n=23)) == _meshgrid_certification(p, 23)
+    monkeypatch.undo()
+
+    # NaN at points in blocks 1 and 3: the first in row-major order is kept
+    tg = sg = np.linspace(0.0, 1.0, 401)
+    bad = ((tg[300], sg[20]), (tg[100], sg[370]), (tg[100], sg[371]))
+
+    def nan_green(p, t, s):
+        hit = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(s)), dtype=bool)
+        for tb, sb in bad:
+            hit |= (t == tb) & (s == sb)
+        return np.where(hit, np.nan, green(p, t, s))
+
+    report = certify_kernel(params, grid_n=401, green_fn=nan_green)
+    envelope = report.checks[0]
+    assert not envelope.passed and np.isnan(envelope.worst_violation)
+    assert (envelope.worst_t, envelope.worst_s) == (tg[100], sg[370])
+    assert _graded(report)[1:] == _meshgrid_certification(params, 401)[1:]
+
+
+def test_certify_allocates_less_than_one_grid(params):
+    import tracemalloc
+
+    certify_kernel(params, grid_n=801)  # warm: first-call caches do not count
+    tracemalloc.start()
+    try:
+        certify_kernel(params, grid_n=801)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 801 * 801 * 8
 
 
 def test_certify_report_serializes(params):
