@@ -16,20 +16,23 @@ binds the state value to ``y`` and the state derivative to ``yp``).  The
 supported functions are ``exp``, ``sqrt``, ``abs``, ``atan``, ``sin``,
 ``cos``, ``log`` (one argument) and ``min``, ``max`` (two arguments).
 
-Parsing is total: any input yields either an :class:`Expr` or a
-:class:`ParseError` carrying the character offset of the problem.  Evaluation
-is pure; domain violations (square root or logarithm of a negative number,
-division by zero) and non-finite results raise :class:`EvalError`.
+Operands nest (in parentheses, function arguments, unary minus and the
+right of "^") at most ``MAX_DEPTH`` = 100 levels deep, and trees are at most
+that deep.  Parsing is total: any input yields either an :class:`Expr` or a
+:class:`ParseError` carrying the character offset of the problem.
+Evaluation is pure; domain violations (square root or logarithm of a
+negative number, division by zero) and non-finite results raise
+:class:`EvalError`.
 
 An expression is compiled once, at its first evaluation, into a flat tape
-of numpy ufunc calls that write into reusable registers.  The tape computes
-every node with the same operation as a walk of the tree, so results are
-the same bit for bit.  :meth:`Expr.eval_array` returns a fresh array unless
-it is given a :class:`Workspace`.  A workspace is bound to one fixed point
-set ``t`` and holds the registers, and the values of the subtrees that read
-only ``t``, so repeated evaluations at those points allocate no
-point-sized array.  A result returned through a workspace stays valid until
-the workspace's next evaluation.
+of numpy ufunc calls over a stack of registers.  The tape computes every
+node with the same operation as a walk of the tree, so results are the same
+bit for bit.  Evaluation runs in a :class:`Workspace`: a block of registers
+for fixed points ``t``, laid out once for the expressions it serves, which
+also keeps each expression's subtrees that read only ``t``.  Given one,
+repeated evaluations at those points allocate no point-sized array, and a
+result stays valid until the workspace's next evaluation; without one,
+:meth:`Expr.eval_array` builds a workspace for the call.
 """
 from __future__ import annotations
 
@@ -132,9 +135,10 @@ class Expr:
     def eval_array(self, t, y, yp, work: Optional[Workspace] = None) -> np.ndarray:
         """Vectorized evaluation over broadcastable numpy arrays.
 
-        Without ``work`` the result is a fresh array of the broadcast shape.
-        With ``work``, ``t`` must be the workspace's own points and ``y``,
-        ``yp`` arrays of their shape; the result is one of the workspace's
+        Without ``work`` the arguments are broadcast and evaluated in a
+        workspace of their own, so the result is a fresh array.  ``work``
+        must be built for this expression, ``t`` must be its points and
+        ``y``, ``yp`` arrays of their shape; the result is one of its
         registers, valid until its next evaluation, and the caller may
         overwrite it.
         """
@@ -143,27 +147,23 @@ class Expr:
             t, y, yp = np.broadcast_arrays(
                 np.asarray(t, float), np.asarray(y, float), np.asarray(yp, float)
             )
-            fresh = (np.empty(t.shape) for _ in range(tape.n_hoisted + tape.n_regs))
-            slots = [t, y, yp, *tape.consts, *fresh]
-            hoisted_ready = False
-        else:
-            y, yp = np.asarray(y, float), np.asarray(yp, float)
-            if t is not work.t or y.shape != t.shape or yp.shape != t.shape:
-                raise ValueError("work is bound to other points, or y, yp do not match them")
-            slots = work.slots(tape, y, yp)
-            hoisted_ready = tape in work.ready
+            work = Workspace(t, (self,))
+        y, yp = np.asarray(y, float), np.asarray(yp, float)
+        slots = work.slots.get(tape)
+        if slots is None or t is not work.t or y.shape != t.shape or yp.shape != t.shape:
+            raise ValueError("work was not built for this expression at these points and shapes")
+        slots[1], slots[2] = y, yp
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
                 if tape.const_error is not None:
                     raise FloatingPointError(tape.const_error)
-                if not hoisted_ready:
+                if tape not in work.ready:
                     _run(tape.t_ops, slots)
-                    if work is not None:
-                        work.ready.add(tape)
+                    work.ready.add(tape)
                 _run(tape.ops, slots)
             except FloatingPointError as err:
                 raise EvalError(f"domain error while evaluating expression: {err}") from err
-        out = slots[tape.result]
+        out = slots[-1]  # register 0
         if not np.all(np.isfinite(out)):
             raise EvalError("expression produced a non-finite value")
         return out
@@ -177,10 +177,6 @@ class Expr:
 # ---------------------------------------------------------------------------
 
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-
-
-def _copy(a, out):
-    np.copyto(out, a)
 
 
 def _op(node: Node) -> tuple:
@@ -200,12 +196,8 @@ def _uses(node: Node, memo: dict) -> int:
     key = id(node)
     mask = memo.get(key)
     if mask is None:
-        if isinstance(node, Var):
-            mask = 1 << VARIABLES.index(node.name)
-        elif isinstance(node, Num):
-            mask = 0
-        else:
-            mask = 0
+        mask = 1 << VARIABLES.index(node.name) if isinstance(node, Var) else 0
+        if isinstance(node, (Neg, Bin, Call)):
             for c in _op(node)[1]:
                 mask |= _uses(c, memo)
         memo[key] = mask
@@ -216,68 +208,43 @@ class _Tape:
     """A flat post-order program for one expression tree.
 
     Each operator node becomes one instruction ``ufunc, a, b, out`` over a
-    slot list ``[t, y, yp, constants..., hoisted..., registers...]``; ``b``
-    is None for one-argument functions.  Every node runs the ufunc the tree
+    slot list ``[t, y, yp, fixed..., registers last to first]``; ``b`` is
+    None for one-argument functions.  Every node runs the ufunc the tree
     names on the operands the tree gives it, so results equal a recursive
     evaluation bit for bit.  Constant-only subtrees are folded here on 0-d
     arrays; a fold that faults is kept in ``const_error`` and raised at every
     evaluation.  The largest subtrees that read ``t`` and no state variable
-    run first, as ``t_ops``, into "hoisted" slots, so that evaluation at
-    fixed points can keep their values; ``ops`` computes the rest.  An
-    instruction's output register is one an operand has just released where
-    possible, so registers are reused by liveness; inputs, constants and
-    hoisted slots are never written by ``ops``.
+    run first, as ``t_ops``, into hoisted rows that fixed points can keep;
+    ``ops`` computes the rest.  ``fixed`` holds the constants and a None per
+    hoisted row, in emission order.  The registers are a stack: a node
+    writes register ``depth``, the number of operands to its left still in
+    registers, and the result is register 0.  A hoisted subtree starts its
+    own stack at 0, as ``t_ops`` all run before ``ops``.
     """
 
     def __init__(self, root: Node):
-        self.consts: list = []
+        self.fixed: list = []
         self.const_error: Optional[str] = None
-        self.t_ops = []
-        self.ops = []
-        self.n_hoisted = 0
-        self.n_regs = 0
-        # free registers and register count, per phase (t_ops, ops)
-        self._free: dict = {True: [], False: []}
-        self._top = {True: 0, False: 0}
+        self.t_ops, self.ops = [], []
+        self.n_hoisted = self.n_regs = 0
         self._uses: dict = {}
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            ref = self._emit(root, True)
-        if ref[0] != "r":
-            # the result must be a register the caller owns
-            out = self._alloc(False)
-            self.ops.append((_copy, ref, None, out))
-            ref = out
-        del self._free, self._top, self._uses
-        # number the slots: inputs, constants, hoisted values, registers
-        base = {"v": 0, "c": 3, "h": 3 + len(self.consts),
-                "r": 3 + len(self.consts) + self.n_hoisted}
+            ref = self._emit(root, 0, True)
+        del self._uses
+        if ref >= 0:
+            # the result must be a register the caller owns; positive copies it
+            self.ops += (np.positive, ref, None, -1)
+            self.n_regs = max(self.n_regs, 1)
+        # one flat tuple per phase keeps the tapes of a large problem set small;
+        # register k, emitted as -1 - k, gets its index >= 0, which lists read faster
+        size = 3 + len(self.fixed) + self.n_regs
+        self.t_ops, self.ops = (tuple(size + x if type(x) is int and x < 0 else x for x in code)
+                                for code in (self.t_ops, self.ops))
 
-        def flat(code):
-            # one flat tuple per phase keeps the tapes of a large problem set small
-            return tuple(x for ins in code for x in (ins[0], *map(index, ins[1:])))
-
-        def index(r):
-            return None if r is None else base[r[0]] + r[1]
-
-        self.t_ops, self.ops, self.result = flat(self.t_ops), flat(self.ops), index(ref)
-
-    def _alloc(self, t_phase: bool) -> tuple:
-        free = self._free[t_phase]
-        if free:
-            return free.pop()
-        ref = ("r", self._top[t_phase])
-        self._top[t_phase] += 1
-        self.n_regs = max(self.n_regs, self._top[t_phase])
-        return ref
-
-    def _release(self, ref: tuple, t_phase: bool) -> None:
-        if ref[0] == "r":
-            self._free[t_phase].append(ref)
-
-    def _emit(self, node: Node, hoist: bool) -> tuple:
-        """Emit the instructions of ``node``; return the slot reference of its value."""
+    def _emit(self, node: Node, depth: int, hoist: bool) -> int:
+        """Emit the instructions of ``node`` at stack ``depth``; return the slot of its value."""
         if isinstance(node, Var):
-            return ("v", VARIABLES.index(node.name))
+            return VARIABLES.index(node.name)
         uses = _uses(node, self._uses)
         if not uses:
             try:
@@ -285,24 +252,31 @@ class _Tape:
             except FloatingPointError as err:
                 self.const_error = self.const_error or str(err)
                 value = np.asarray(0.0)
-            self.consts.append(value[()])  # a numpy scalar: the same operand, less memory
-            return ("c", len(self.consts) - 1)
+            self.fixed.append(value[()])  # a numpy scalar: the same operand, less memory
+            return 2 + len(self.fixed)
         t_only = uses == _T_ONLY
+        hoisted = t_only and hoist
         fn, children = _op(node)
-        # children of a node that reads the state hoist their t-only parts
-        refs = [self._emit(c, not t_only) for c in children]
-        for r in refs:
-            self._release(r, t_only)
-        if t_only and hoist:
-            out = ("h", self.n_hoisted)
+        refs, d = [], 0 if hoisted else depth
+        for c in children:
+            # children of a node that reads the state hoist their t-only parts
+            refs.append(self._emit(c, d, not t_only))
+            d += refs[-1] < 0
+        if hoisted:
+            self.fixed.append(None)
             self.n_hoisted += 1
+            out = 2 + len(self.fixed)
         else:
-            out = self._alloc(t_only)
+            out = -1 - depth
+            self.n_regs = max(self.n_regs, depth + 1)
         a, b = refs if len(refs) == 2 else (refs[0], None)
-        (self.t_ops if t_only else self.ops).append((fn, a, b, out))
+        (self.t_ops if t_only else self.ops).extend((fn, a, b, out))
         return out
 
 
+# Folding keeps a constant operand a scalar, as in a tree walk: numpy's power
+# takes its fast paths (sqrt for 0.5, square for 2, reciprocal for -1) only for
+# a scalar exponent, so t^(1/2) with an array exponent differs in the last bit.
 def _fold(node: Node):
     """Value of a constant-only subtree, computed on 0-d arrays."""
     if isinstance(node, Num):
@@ -321,66 +295,42 @@ def _run(code: tuple, slots: list) -> None:
 
 
 class Workspace:
-    """Registers for repeated evaluation at one fixed set of points ``t``.
+    """Registers for repeated evaluation of ``sources`` at fixed points ``t``.
 
     An owner such as the moment operator of a solve builds one and passes it
-    as ``work`` to :meth:`Expr.eval_array`.  The registers shared by its
-    expressions, and the values of each expression's t-only subtrees, are
-    rows of t's size in one float block: ``rows`` from the owner, sized by
-    :meth:`rows_for` for the ``sources`` it will evaluate, or a block of
-    the workspace's own.  An expression it was not sized for moves the
-    rows to a larger block of its own at that expression's first
-    evaluation.  The t-only values are computed at an expression's first
-    successful evaluation and reused afterwards.  A result returned through
-    the workspace is one of its registers and is overwritten by the next
-    evaluation.
+    as ``work`` to :meth:`Expr.eval_array`.  Its rows, each of t's size, are
+    laid out once, in the owner's ``rows`` block sized by :meth:`rows_for`
+    or in arrays of its own: first the registers the sources share, as many
+    as the largest needs, then each source's hoisted rows, which keep its
+    t-only values from its first successful evaluation on.  Other
+    expressions raise :class:`ValueError`.  A result is one of the
+    registers, overwritten by the next evaluation.
     """
 
-    def __init__(self, t: np.ndarray, sources=(), rows: Optional[np.ndarray] = None):
+    def __init__(self, t: np.ndarray, sources, rows: Optional[np.ndarray] = None):
         self.t = t
         self.ready: set = set()
-        self._slots: dict = {}
-        self._hoisted_row: dict = {}
-        self._n_hoisted = 0
-        self._n_regs = 0
-        for e in sources:
-            self._place(e._tape)
-        shape = (self._n_regs + self._n_hoisted, t.size)
+        shape = (self.rows_for(sources), t.size)
         if rows is None:
-            rows = np.empty(shape)
+            # one array per row: a freed block this size can be trimmed off the heap top
+            rows = [np.empty(t.shape) for _ in range(shape[0])]
         elif rows.shape != shape:
             raise ValueError(f"the sources need rows of shape {shape}, got {rows.shape}")
-        self._block = rows
+        else:
+            rows = [r.reshape(t.shape) for r in rows]
+        self.slots: dict = {}  # tape -> its slot list over these rows
+        at = max((e._tape.n_regs for e in sources), default=0)
+        for tape in dict.fromkeys(e._tape for e in sources):
+            hoisted = iter(rows[at : at + tape.n_hoisted])
+            fixed = (next(hoisted) if c is None else c for c in tape.fixed)
+            self.slots[tape] = [t, None, None, *fixed, *reversed(rows[: tape.n_regs])]
+            at += tape.n_hoisted
 
     @staticmethod
     def rows_for(sources) -> int:
         """Number of rows a workspace for ``sources`` holds."""
-        return len(Workspace(np.empty(0), sources)._block)
-
-    def _place(self, tape: _Tape) -> None:
-        if tape not in self._hoisted_row:
-            self._hoisted_row[tape] = self._n_hoisted
-            self._n_hoisted += tape.n_hoisted
-        self._n_regs = max(self._n_regs, tape.n_regs)
-
-    def slots(self, tape: _Tape, y, yp) -> list:
-        """The slot list of ``tape`` over these rows, with y and yp bound."""
-        slots = self._slots.get(tape)
-        if slots is None:
-            n_regs, n_hoisted = self._n_regs, self._n_hoisted
-            self._place(tape)
-            if (self._n_regs, self._n_hoisted) != (n_regs, n_hoisted):
-                old = self._block
-                self._block = np.empty((self._n_regs + self._n_hoisted, self.t.size))
-                self._block[self._n_regs : self._n_regs + n_hoisted] = old[n_regs:]
-                self._slots.clear()
-            rows = list(self._block.reshape((-1,) + self.t.shape))
-            first = self._n_regs + self._hoisted_row[tape]
-            slots = [self.t, None, None, *tape.consts,
-                     *rows[first : first + tape.n_hoisted], *rows[: tape.n_regs]]
-            self._slots[tape] = slots
-        slots[1], slots[2] = y, yp
-        return slots
+        tapes = {e._tape for e in sources}
+        return max((tp.n_regs for tp in tapes), default=0) + sum(tp.n_hoisted for tp in tapes)
 
 
 def evaluate(e: Expr, t: float, y: float, yp: float) -> float:
@@ -440,11 +390,24 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_DEPTH = 100  # bound on the parser's nesting and on the tree's depth
+
+
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.nesting = 0
+        # subtree depth by node identity; no tree of MAX_DEPTH tokens or fewer is deeper
+        self.depth = {} if len(self.tokens) > MAX_DEPTH else None
+
+    def node(self, node: Node, offset: int) -> Node:
+        """Record the depth of a new operator node; refuse one deeper than MAX_DEPTH."""
+        if self.depth is not None:
+            depth = self.depth[id(node)] = 1 + max(self.depth.get(id(c), 0) for c in _op(node)[1])
+            if depth > MAX_DEPTH:
+                raise ParseError(f"expression deeper than {MAX_DEPTH} operations", offset)
+        return node
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -470,36 +433,42 @@ class _Parser:
     def expr(self) -> Node:
         node = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
-                node = Bin(text, node, self.term())
+                node = self.node(Bin(text, node, self.term()), offset)
             else:
                 return node
 
     def term(self) -> Node:
         node = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "*/":
                 self.next()
-                node = Bin(text, node, self.unary())
+                node = self.node(Bin(text, node, self.unary()), offset)
             else:
                 return node
 
     def unary(self) -> Node:
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
+        if self.nesting > MAX_DEPTH:  # every nested operand passes here
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        self.nesting += 1
         if kind == "op" and text == "-":
             self.next()
-            return Neg(self.unary())
-        return self.power()
+            node = self.node(Neg(self.unary()), offset)
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
         if kind == "op" and text == "^":
             self.next()
-            return Bin("^", base, self.unary())  # right associative
+            return self.node(Bin("^", base, self.unary()), offset)  # right associative
         return base
 
     def atom(self) -> Node:
@@ -525,7 +494,7 @@ class _Parser:
                     raise ParseError(
                         f"{text} expects {arity} argument(s), got {len(args)}", offset
                     )
-                return Call(text, tuple(args))
+                return self.node(Call(text, tuple(args)), offset)
             raise ParseError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
             node = self.expr()

@@ -31,11 +31,10 @@ panel, so sampling the state's cubic Hermite interpolant is a product of the
 per-panel node data with a tabulated q x 4 basis
 (:func:`~tripoint.gridfn._hermite_basis`).
 
-A solve also names its two sources when it builds the operator.  The
-operator then holds one block with the Gauss points and weights, the state
-samples, the moment sums and the registers of both sources
-(:class:`~tripoint.expr.Workspace`), and it computes the weights of the
-moments at every node once.  A warm half-sweep therefore allocates only
+The operator is built for the sources it will integrate (a solve's f and
+h).  It holds one block with the Gauss points and weights, the state
+samples, the moment sums, the moment weights at every node and the sources'
+:class:`~tripoint.expr.Workspace` rows, so a warm half-sweep allocates only
 node-sized arrays.  The t-only parts of each source, such as ``t^2+1``, are
 evaluated at its first half-sweep and kept for the rest of the solve.
 """
@@ -113,10 +112,10 @@ class _MomentOperator:
     integrates branch 1 over ``[0, min(t, eta)]``, branch 2 (``t <= eta``) or
     branch 3 between ``t`` and ``eta``, and branch 4 over ``[max(t, eta), 1]``,
     so :meth:`apply` is one contraction of the moments with the weights.
-    The source is evaluated through :attr:`work`, an expression workspace at
-    the quadrature points, so a warm half-sweep allocates no array of
-    quadrature-point size.  The arrays :meth:`sample` returns and the source
-    register :meth:`apply` consumes are overwritten by the next half-sweep.
+    Only ``sources`` are evaluated, through :attr:`work`, an expression
+    workspace at the quadrature points with its rows in the same block.  The
+    arrays :meth:`sample` returns and the source register :meth:`apply`
+    consumes are overwritten by the next half-sweep.
     """
 
     def __init__(self, p: ProblemParams, nodes: np.ndarray, quad_points: int,
@@ -237,8 +236,8 @@ def apply_operator(
     Returns a grid function on the same node set whose values come from G and
     whose derivatives come from dG/dt.  Output value and derivative at t = 0
     are exactly zero.  The node set must contain eta.  ``op`` is a
-    discretisation built beforehand for ``(p, state.nodes, quad_points)``;
-    without it one is built for this call.
+    discretisation built beforehand for ``(p, state.nodes, quad_points)``
+    and sources that include ``src``; without it one is built for this call.
     """
     if op is None:
         op = _MomentOperator(p, state.nodes, quad_points, (src,))

@@ -57,6 +57,14 @@ def test_solve_rejects_bad_expression(capsys):
     assert "unknown identifier" in err and "offset 0" in err
 
 
+def test_solve_rejects_too_deeply_nested_expression(capsys):
+    deep = "(" * 198 + "y" + ")" * 198
+    code = main(["solve", "--alpha", "1.5", "--eta", "0.5", "--h", "y", "--f", deep])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested deeper" in err and "Traceback" not in err
+
+
 def test_solve_reports_nonconvergence_with_exit_2(tmp_path):
     cfg = _write_config(
         tmp_path, f=EXAMPLE_F, h=EXAMPLE_H,

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripoint import (
@@ -16,7 +17,7 @@ from tripoint import (
     parse,
     to_source,
 )
-from tripoint.expr import Bin, Call, Expr, Neg, Num, Var, Workspace
+from tripoint.expr import Bin, Call, Expr, Neg, Num, Var, Workspace, _Tape
 
 from conftest import EXAMPLE_F, EXAMPLE_H
 from oracles import eval_tree
@@ -176,6 +177,9 @@ def _assert_matches_tree_walk(e, t, y, yp, work=None):
 
 @settings(max_examples=300, deadline=None)
 @given(_ast_strategy(), st.integers(0, 2**32 - 1))
+# constant exponents: numpy's power rounds a scalar 0.5 and an array of 0.5 differently
+@example(parse("t^(1/2)").root, 0)
+@example(parse("t^min(1, 0.5)").root, 0)
 def test_tape_matches_tree_walk_bitwise(root, seed):
     _assert_matches_tree_walk(Expr(root), *_state_arrays(seed))
 
@@ -184,9 +188,9 @@ def test_tape_matches_tree_walk_bitwise(root, seed):
 @given(_ast_strategy(), st.integers(0, 2**32 - 1))
 def test_tape_through_a_reused_workspace_matches_tree_walk(f_example, root, seed):
     t, y, yp = _state_arrays(seed)
-    work = Workspace(t)
-    f_example.eval_array(t, y, yp, work=work)  # another expression fills the registers first
     e = Expr(root)
+    work = Workspace(t, (f_example, e))
+    f_example.eval_array(t, y, yp, work=work)  # another expression fills the registers first
     _assert_matches_tree_walk(e, t, y, yp, work)
     # a second call reuses the t-only values computed by the first
     _assert_matches_tree_walk(e, t, yp, y, work)
@@ -198,7 +202,7 @@ def test_t_only_and_constant_trees_match_tree_walk(root, seed):
     t, y, yp = _state_arrays(seed)
     e = Expr(root)
     _assert_matches_tree_walk(e, t, y, yp)
-    work = Workspace(t)
+    work = Workspace(t, (e,))
     for _ in range(2):
         _assert_matches_tree_walk(e, t, y, yp, work)
     # scalar and broadcast arguments take the same tape
@@ -208,7 +212,7 @@ def test_t_only_and_constant_trees_match_tree_walk(root, seed):
 
 def test_workspace_result_is_a_register_the_caller_may_overwrite(f_example):
     t, y, yp = _state_arrays(0)
-    work = Workspace(t)
+    work = Workspace(t, (f_example,))
     expected = eval_tree(f_example, t, y, yp)
     out = f_example.eval_array(t, y, yp, work=work)
     out[:] = -1.0
@@ -218,14 +222,53 @@ def test_workspace_result_is_a_register_the_caller_may_overwrite(f_example):
         f_example.eval_array(t.copy(), y, yp, work=work)  # other points than the bound ones
 
 
+def test_compiling_leaves_no_reference_cycles():
+    roots = [parse(src).root for src in (EXAMPLE_F, EXAMPLE_H, "t^2*(y+1) + sqrt(t)*yp")]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(100):
+            _Tape(roots[i % 3])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=200)
 @given(st.text(max_size=40))
+@example("(" * 198 + "y" + ")" * 198)
+@example("-" * 1000 + "y")
+@example("0-" * 899 + "y")
 def test_parsing_is_total(src):
-    # every input either parses or raises a positioned ParseError
+    # every input either parses or raises a positioned ParseError, and what
+    # parses evaluates or raises EvalError
     try:
-        parse(src)
+        e = parse(src)
     except ParseError as err:
         assert isinstance(err.offset, int)
+    else:
+        try:
+            evaluate(e, 0.5, 1.0, 1.0)
+        except EvalError:
+            pass
+
+
+@pytest.mark.parametrize("build,offset", [
+    (lambda n: "(" * n + "y" + ")" * n, 101),
+    (lambda n: "sin(" * n + "y" + ")" * n, 404),
+    (lambda n: "-" * n + "y", 101),
+    (lambda n: "y" + "^y" * n, 202),
+    (lambda n: "0" + "-0" * n, 201),
+    (lambda n: "1" + "*y" * n, 201),
+], ids=["parens", "calls", "minus", "power", "sum", "product"])
+def test_nesting_and_depth_beyond_the_limit_are_parse_errors(build, offset):
+    # 100 levels parse, evaluate and print back; at 101 the error points where it starts
+    e = parse(build(100))
+    assert parse(to_source(e)) == e
+    evaluate(e, 0.5, 1.0, 1.0)
+    with pytest.raises(ParseError, match="deeper than 100") as exc:
+        parse(build(101))
+    assert exc.value.offset == offset
 
 
 # -- sampled nonnegativity ----------------------------------------------------

@@ -176,21 +176,37 @@ def test_operator_rejects_unsupported_discretisations(params, nodes, f_example):
                       apply_operator(params, f_example, g))
 
 
+def test_workspace_and_operator_serve_only_their_own_sources(params, nodes, f_example, h_example):
+    from tripoint.expr import Workspace
+    from tripoint.integral_op import _MomentOperator
+
+    s = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match="not built for"):
+        h_example.eval_array(s, s, s, work=Workspace(s, (f_example,)))
+    op = _MomentOperator(params, nodes, 8, (f_example,))
+    g = _random_nonneg_state(nodes, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="not built for"):
+        apply_operator(params, h_example, g, 8, op)
+    # the operator is still usable after a rejected call
+    _assert_same_bits(apply_operator(params, f_example, g, 8, op),
+                      apply_operator(params, f_example, g))
+
+
 def _assert_same_bits(w, ref):
     assert w.values.tobytes() == ref.values.tobytes()
     assert w.derivs.tobytes() == ref.derivs.tobytes()
 
 
-@pytest.mark.parametrize("sized", [True, False])
-def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_example, sized):
-    # as in a solve, one operator (and its workspace) takes f and h in turn;
-    # a third source needs more rows than either, so the workspace moves to a
-    # larger block while f's t-only values are held, sized for f and h or not
+def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_example):
+    # as in a solve, one operator (and its workspace) takes its sources in
+    # turn; a third source needs more rows than either, and every source
+    # keeps its own t-only values while the others run
     from tripoint.integral_op import _MomentOperator
 
     quad_points = 8
-    op = _MomentOperator(params, nodes, quad_points, (f_example, h_example) if sized else ())
     k = parse("(t+2)*exp(0-yp) + t^3*(y*(y+yp) + sqrt(t)*yp)")
+    bad = parse("log(y-1)")
+    op = _MomentOperator(params, nodes, quad_points, (f_example, h_example, k, bad))
     rng = np.random.default_rng(9)
     kept = []
     for src in (f_example, h_example, f_example, k, f_example, h_example, k):
@@ -202,7 +218,7 @@ def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_exa
         assert w.values.tobytes() == values and w.derivs.tobytes() == derivs
     # a domain fault in the middle of a tape leaves the operator usable
     with pytest.raises(EvalError):
-        apply_operator(params, parse("log(y-1)"), GridFunction.zeros(nodes), quad_points, op)
+        apply_operator(params, bad, GridFunction.zeros(nodes), quad_points, op)
     for src in (f_example, h_example, k):
         g = _random_nonneg_state(nodes, rng)
         _assert_same_bits(apply_operator(params, src, g, quad_points, op),
