@@ -21,7 +21,7 @@ from .expr import (
     parse,
     to_source,
 )
-from .gridfn import GridFunction, chebyshev_nodes, interpolate, solver_nodes
+from .gridfn import GridFunction, interpolate, solver_nodes
 from .integral_op import CoupledState, apply_operator
 from .kernel import (
     ProblemParams,
@@ -64,7 +64,6 @@ __all__ = [
     "bc_defect",
     "certify_kernel",
     "check_nonnegative_sampled",
-    "chebyshev_nodes",
     "cone_membership",
     "default_scales",
     "evaluate",

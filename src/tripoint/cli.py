@@ -74,21 +74,11 @@ def _effective_config(args: argparse.Namespace) -> dict:
         value = getattr(args, name, None)
         if value is not None:
             cfg[name] = value
-    overrides = {
-        "nodes": args.nodes,
-        "tol": args.tol,
-        "max_iters": args.max_iter,
-        "damping": args.damping,
-        "quad_points": args.quad_points,
-        "initial": args.initial,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg["solver"][key] = value
-    if args.out_csv is not None:
-        cfg["outputs"]["csv"] = args.out_csv
-    if args.out_json is not None:
-        cfg["outputs"]["json"] = args.out_json
+    for section, prefix in (("solver", ""), ("outputs", "out_")):
+        for key in cfg[section]:
+            value = getattr(args, prefix + key, None)
+            if value is not None:
+                cfg[section][key] = value
     return cfg
 
 
@@ -166,8 +156,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_green(args: argparse.Namespace) -> int:
-    if args.grid < 11:
-        raise InputError("grid too coarse: --grid must be >= 11")
     p = ProblemParams(args.alpha, args.eta)
     report = certify_kernel(p, grid_n=args.grid)
     for check in report.checks:
@@ -241,21 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--eta", type=float)
         sp.add_argument("--f", help="source expression for the first equation")
         sp.add_argument("--h", help="source expression for the second equation")
-        sp.add_argument("--nodes", type=int)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--max-iter", type=int)
-        sp.add_argument("--damping", type=float)
-        sp.add_argument("--quad-points", type=int)
-        sp.add_argument("--initial")
-        sp.add_argument("--out-csv")
         sp.add_argument("--out-json")
 
     sp = sub.add_parser("solve", help="solve the coupled system")
     add_common(sp)
+    sp.add_argument("--alpha", type=float)
+    sp.add_argument("--eta", type=float)
+    sp.add_argument("--nodes", type=int)
+    sp.add_argument("--tol", type=float)
+    sp.add_argument("--max-iter", type=int, dest="max_iters")
+    sp.add_argument("--damping", type=float)
+    sp.add_argument("--quad-points", type=int)
+    sp.add_argument("--initial")
+    sp.add_argument("--out-csv")
     sp.add_argument("--dump-config", action="store_true", help="print the effective config and exit")
     sp.set_defaults(func=_cmd_solve)
 

@@ -125,9 +125,6 @@ class Expr:
 
     root: Node
 
-    def __call__(self, t: float, y: float, yp: float) -> float:
-        return evaluate(self, t, y, yp)
-
     @cached_property
     def _tape(self) -> _Tape:
         return _Tape(self.root)

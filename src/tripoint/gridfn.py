@@ -2,10 +2,11 @@
 
 A :class:`GridFunction` stores samples of a continuously differentiable
 function and of its first derivative on a strictly increasing node set that
-starts at 0 and ends at 1.  Point evaluation between nodes uses the piecewise
-cubic Hermite interpolant built from both arrays, so stored data is
-reproduced exactly at the nodes and quadratic polynomials are reproduced
-exactly everywhere.
+starts at 0 and ends at 1.  The three arrays are the rows of one read-only
+``(3, n)`` block, copied and checked once at construction.  Point
+evaluation between nodes uses the piecewise cubic Hermite interpolant built
+from both arrays, so stored data is reproduced exactly at the nodes and
+quadratic polynomials are reproduced exactly everywhere.
 """
 from __future__ import annotations
 
@@ -15,47 +16,42 @@ import numpy as np
 
 from .kernel import ProblemParams
 
-__all__ = ["GridFunction", "interpolate", "chebyshev_nodes", "solver_nodes"]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
+__all__ = ["GridFunction", "interpolate", "solver_nodes"]
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Immutable (nodes, values, derivs) triple representing a C^1 function."""
+    """Immutable (nodes, values, derivs) triple representing a C^1 function.
+
+    The three fields are the rows of one read-only ``(3, n)`` float block
+    that holds a copy of the inputs, so a grid function never aliases them.
+    """
 
     nodes: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = _frozen(self.nodes)
-        values = _frozen(self.values)
-        derivs = _frozen(self.derivs)
-        if nodes.ndim != 1 or nodes.size < 2:
+        shape = np.shape(self.nodes)
+        if len(shape) != 1 or shape[0] < 2:
             raise ValueError("need a one-dimensional node set with at least 2 nodes")
-        if values.shape != nodes.shape or derivs.shape != nodes.shape:
+        if np.shape(self.values) != shape or np.shape(self.derivs) != shape:
             raise ValueError("values and derivs must match the node set in shape")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
+        block = np.array((self.nodes, self.values, self.derivs), dtype=float)
+        if not np.isfinite(block).all():
             raise ValueError("nodes, values and derivs must be finite")
-        if nodes[0] != 0.0 or nodes[-1] != 1.0 or np.any(np.diff(nodes) <= 0):
+        nodes = block[0]
+        if nodes[0] != 0.0 or nodes[-1] != 1.0 or (nodes[1:] <= nodes[:-1]).any():
             raise ValueError("nodes must increase strictly from 0.0 to 1.0")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "derivs", derivs)
+        block.setflags(write=False)
+        for name, row in zip(("nodes", "values", "derivs"), block):
+            object.__setattr__(self, name, row)
 
     @classmethod
     def zeros(cls, nodes) -> "GridFunction":
         nodes = np.asarray(nodes, dtype=float)
         z = np.zeros_like(nodes)
         return cls(nodes, z, z)
-
-    def __call__(self, t):
-        return interpolate(self, t)
 
 
 def _hermite_basis(x) -> tuple[tuple, tuple]:

@@ -33,6 +33,10 @@ pointwise; it shares only ``panel_points`` with the moment operator.
 
 :func:`picard_solve` is the damped Gauss-Seidel successive substitution that
 ``solve`` ran before its sweeps were secant-accelerated, loop for loop.
+
+:func:`residual_reference` is the finite-difference residual as it was before
+each half was sampled only once: four ``interpolate`` calls, the interior
+points sampled on their own.
 """
 from __future__ import annotations
 
@@ -42,10 +46,10 @@ from fractions import Fraction
 import numpy as np
 
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
-from tripoint.gridfn import GridFunction, solver_nodes
+from tripoint.gridfn import GridFunction, interpolate, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
 from tripoint.kernel import ProblemParams, _green_dt_terms, _green_terms, _prepare, green, green_dt
-from tripoint.solver import SolveConfig, SolveError, _initial_state
+from tripoint.solver import RESIDUAL_GRID, RESIDUAL_SKIP, SolveConfig, SolveError, _fd3, _initial_state
 
 
 def poly_bvp_solution(alpha, eta, qcoeffs):
@@ -301,3 +305,18 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
             fell_back = True
         prev_step = step
     return CoupledState(u, v), converged, history
+
+
+def residual_reference(p, state, f, h):
+    """``solver.residual`` with the interior points interpolated separately."""
+    tg = np.linspace(0.0, 1.0, RESIDUAL_GRID)
+    spacing = tg[1] - tg[0]
+    inner = tg[RESIDUAL_SKIP:-RESIDUAL_SKIP]
+    out = []
+    for g, other, src in ((state.u, state.v, f), (state.v, state.u, h)):
+        gv, _ = interpolate(g, tg)
+        ov, od = interpolate(other, inner)
+        d3 = _fd3(gv, spacing)
+        rhs = src.eval_array(inner, np.maximum(ov, 0.0), np.maximum(od, 0.0))
+        out.append(float(np.max(np.abs(d3 + rhs))))
+    return out[0], out[1]

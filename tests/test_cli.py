@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from tripoint.cli import main
 
@@ -185,3 +186,11 @@ def test_scan_rejects_state_variables_in_direction(capsys):
 def test_scan_requires_a_source(capsys):
     assert main(["scan"]) == 1
     assert "nothing to scan" in capsys.readouterr().err
+
+
+def test_scan_rejects_solver_flags(capsys):
+    # scan reads only the sources; a solver flag is a usage error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--f", "y", "--nodes", "5"])
+    assert exc.value.code == 2
+    assert "--nodes" in capsys.readouterr().err

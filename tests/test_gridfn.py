@@ -6,10 +6,10 @@ import pytest
 from tripoint import (
     GridFunction,
     ProblemParams,
-    chebyshev_nodes,
     interpolate,
     solver_nodes,
 )
+from tripoint.gridfn import chebyshev_nodes
 
 from oracles import c1_norm, lincomb
 
@@ -36,6 +36,19 @@ def test_grid_function_is_immutable():
     g = GridFunction.zeros(_uniform(5))
     with pytest.raises(ValueError):
         g.values[0] = 1.0
+
+
+def test_grid_function_does_not_alias_its_inputs():
+    nodes, values, derivs = _uniform(5), np.arange(5.0), -np.arange(5.0)
+    g = GridFunction(nodes, values, derivs)
+    nodes[1], values[1], derivs[1] = 0.3, 7.0, 7.0
+    assert np.array_equal(g.nodes, _uniform(5))
+    assert np.array_equal(g.values, np.arange(5.0))
+    assert np.array_equal(g.derivs, -np.arange(5.0))
+    for a in (g.nodes, g.values, g.derivs):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_interpolation_exact_at_nodes():

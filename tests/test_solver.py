@@ -16,7 +16,7 @@ from tripoint import (
     solve,
     solver_nodes,
 )
-from oracles import c1_norm, lincomb, picard_solve
+from oracles import c1_norm, lincomb, picard_solve, residual_reference
 
 # nonnegative profiles phi(y, yp) for y, yp >= 0; the first group is positive
 # at the zero state, so a source led by one cannot stop at the zero solution
@@ -151,6 +151,24 @@ def test_residual_detects_perturbation(params):
     bad = GridFunction(nodes, vals + nodes**3 / 6, ders + nodes**2 / 2)
     res_u, _ = residual(params, CoupledState(bad, good), parse("1"), parse("1"))
     assert res_u == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("nodes", [33, 129])
+def test_residual_matches_reference_bit_for_bit(params, f_example, h_example, nodes):
+    state, report = solve(params, f_example, h_example, SolveConfig(nodes=nodes))
+    got = residual(params, state, f_example, h_example)
+    assert [x.hex() for x in got] == [x.hex() for x in residual_reference(params, state, f_example, h_example)]
+    assert [report.residual_u.hex(), report.residual_v.hex()] == [x.hex() for x in got]
+
+
+def test_residual_matches_reference_on_clamped_samples(params, f_example, h_example):
+    # a random state whose samples go negative, so the source sees clamped inputs
+    nodes = solver_nodes(33, params)
+    rng = np.random.default_rng(11)
+    u, v = (GridFunction(nodes, rng.normal(size=nodes.size), rng.normal(size=nodes.size)) for _ in range(2))
+    state = CoupledState(u, v)
+    got = residual(params, state, f_example, h_example)
+    assert [x.hex() for x in got] == [x.hex() for x in residual_reference(params, state, f_example, h_example)]
 
 
 def test_residual_decreases_with_resolution(params, f_example, h_example):
