@@ -24,7 +24,7 @@ from .expr import _T_ONLY, EvalError, _uses, parse
 from .gridfn import GridFunction
 from .kernel import ProblemParams
 from .solver import SolveConfig, SolveError, solve
-from .verify import certify_kernel, default_scales, growth_scan
+from .verify import certify_kernel, growth_scan
 
 __all__ = ["main", "build_parser", "DEFAULT_CONFIG"]
 
@@ -88,9 +88,19 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _setting(s: dict, key: str, kind: type) -> int | float:
+    """Solver setting ``key`` as ``kind``: never truncated, never read from a boolean."""
+    value = s[key]
+    try:
+        if isinstance(value, bool) or not (kind is float or float(value).is_integer()):
+            raise ValueError
+        return kind(float(value))
+    except (TypeError, ValueError, OverflowError):
+        kind_name = "an integer" if kind is int else "a number"
+        raise InputError(f"solver.{key} must be {kind_name}, got {value!r}") from None
+
+
 def _parse_initial(raw) -> str | float:
-    if isinstance(raw, (int, float)):
-        return float(raw)
     if raw == "zero":
         return "zero"
     try:
@@ -127,11 +137,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     h = parse(str(_require(cfg, "h")))
     s = cfg["solver"]
     solve_cfg = SolveConfig(
-        max_iters=int(s["max_iters"]),
-        tol=float(s["tol"]),
-        damping=float(s["damping"]),
-        nodes=int(s["nodes"]),
-        quad_points=int(s["quad_points"]),
+        max_iters=_setting(s, "max_iters", int),
+        tol=_setting(s, "tol", float),
+        damping=_setting(s, "damping", float),
+        nodes=_setting(s, "nodes", int),
+        quad_points=_setting(s, "quad_points", int),
         initial=_parse_initial(s["initial"]),
     )
     state, report = solve(p, f, h, solve_cfg)
@@ -204,7 +214,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for text in args.direction:
             phi_src, psi_src = _split_direction(text)
             directions.append((_direction_callable(phi_src), _direction_callable(psi_src)))
-    scales = default_scales(args.scale_min, args.scale_max, args.scale_count)
+    scales = np.geomspace(args.scale_min, args.scale_max, args.scale_count)
     results = [(name, growth_scan(e, directions=directions, scales=scales)) for name, e in exprs]
     header = "scale" + "".join(f"  ratio_{name}" for name, _ in results)
     print(header)

@@ -52,8 +52,6 @@ __all__ = [
     "SamplingPlan",
     "NonnegativityReport",
     "check_nonnegative_sampled",
-    "VARIABLES",
-    "FUNCTIONS",
 ]
 
 VARIABLES = ("t", "y", "yp")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ProblemParams
+from .kernel import ProblemParams, _check_unit
 
 __all__ = ["GridFunction", "interpolate", "solver_nodes"]
 
@@ -78,8 +78,7 @@ def interpolate(g: GridFunction, t):
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
-    if t_arr.size and (not np.all(np.isfinite(t_arr)) or t_arr.min() < 0.0 or t_arr.max() > 1.0):
-        raise ValueError("t must lie in [0, 1]")
+    _check_unit(t_arr, "t")
     nodes, vals, ders = g.nodes, g.values, g.derivs
     i = np.clip(np.searchsorted(nodes, t_arr, side="right"), 1, nodes.size - 1)
     i0 = i - 1

@@ -25,11 +25,13 @@ makes the three-point derivative condition hold to rounding for any source.
 
 The discretisation (panels, Gauss points, moment weights) depends only on
 the parameters, the node set and the number of Gauss points per panel, so a
-solve builds one :class:`_MomentOperator` and reuses it for every
-half-sweep.  The Gauss points sit at the same reference coordinates in every
-panel, so sampling the state's cubic Hermite interpolant is a product of the
-per-panel node data with a tabulated q x 4 basis
-(:func:`~tripoint.gridfn._hermite_basis`).
+solve builds one :class:`_MomentOperator` and reuses it: a half-sweep is
+one call ``op(src, values, derivs)`` from the state's node data to the
+output's, under one floating-point guard, and :func:`apply_operator` wraps
+it for grid functions.  The Gauss points sit at the same reference
+coordinates in every panel, so sampling the state's cubic Hermite
+interpolant is a product of the per-panel node data with a tabulated q x 4
+basis (:func:`~tripoint.gridfn._hermite_basis`).
 
 The operator is built for the sources it will integrate (a solve's f and
 h).  It holds one block with the Gauss points and weights, the state
@@ -95,14 +97,13 @@ class _MomentOperator:
     """Cumulative-moment evaluation of the kernel integrals at the nodes.
 
     Built once per parameter pair, node set and Gauss order ``quad_points``;
-    the node set must contain eta.  :meth:`sample` and :meth:`apply` may then
-    be called for any number of states on that node set.  Quadrature arrays
-    are stored as (q, panels), so the per-panel sums run over contiguous
-    rows.  The panels are the node intervals, and the Hermite basis at the
-    Gauss points is tabulated as two q x 4 matrices: one weighs
-    (v_j, h_j d_j, v_{j+1}, h_j d_{j+1}) into values, the other
-    (v_j / h_j, d_j, v_{j+1} / h_j, d_{j+1}) into slopes, with h_j the width
-    of panel j.
+    the node set must contain eta.  Each call is then one half-sweep for a
+    state on that node set.  Quadrature arrays are stored as (q, panels), so
+    the per-panel sums run over contiguous rows.  The panels are the node
+    intervals, and the Hermite basis at the Gauss points is tabulated as two
+    q x 4 matrices: one weighs (v_j, h_j d_j, v_{j+1}, h_j d_{j+1}) into
+    values, the other (v_j / h_j, d_j, v_{j+1} / h_j, d_{j+1}) into slopes,
+    with h_j the width of panel j.
 
     Everything a half-sweep needs beyond the state and the source is built
     here once, in one block: the sampled values and slopes, the 4 x panels
@@ -111,11 +112,10 @@ class _MomentOperator:
     nodes), regrouped from the kernel's branch coefficients.  A node ``t``
     integrates branch 1 over ``[0, min(t, eta)]``, branch 2 (``t <= eta``) or
     branch 3 between ``t`` and ``eta``, and branch 4 over ``[max(t, eta), 1]``,
-    so :meth:`apply` is one contraction of the moments with the weights.
+    so the integration is one contraction of the moments with the weights.
     Only ``sources`` are evaluated, through :attr:`work`, an expression
     workspace at the quadrature points with its rows in the same block.  The
-    arrays :meth:`sample` returns and the source register :meth:`apply`
-    consumes are overwritten by the next half-sweep.
+    arrays :meth:`sample` returns are overwritten by the next half-sweep.
     """
 
     def __init__(self, p: ProblemParams, nodes: np.ndarray, quad_points: int,
@@ -165,9 +165,9 @@ class _MomentOperator:
             np.subtract(c1, c3, out=w_eta, where=hi)
             w_1[:] = c4
 
-    def sample(self, g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-        """Value and slope of g's Hermite interpolant at the quadrature points."""
-        v, d, h, stack = g.values, g.derivs, self.h, self._stack
+    def sample(self, v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value and slope at the quadrature points of the interpolant of node data (v, d)."""
+        h, stack = self.h, self._stack
         v0, v1, d0, d1 = v[:-1], v[1:], d[:-1], d[1:]
         stack[0] = v0
         np.multiply(h, d0, out=stack[1])
@@ -181,47 +181,44 @@ class _MomentOperator:
         np.matmul(self.slope_basis, stack, out=self._ders)
         return self._vals.ravel(), self._ders.ravel()
 
-    def apply(self, src_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate the sampled source against G and dG/dt at every node.
+    def __call__(self, src: Expr, values: np.ndarray, derivs: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """One half-sweep: integrate src(s, w, w') against G and dG/dt at every node.
 
-        ``src_vals`` is overwritten: it becomes w * s^2 * src.
+        Takes the node data of the state w and returns the output's.  The
+        sources are defined only for y, yp >= 0, so samples that interpolation
+        pushes below zero are clamped (and logged).  A floating-point fault
+        raises :class:`EvalError`, for the state samples or for the output.
         """
-        # w * s^k * src: one in-place multiply by s per further moment
-        wphi = src_vals.reshape(self.s.shape)
-        np.multiply(self.w, wphi, out=wphi)
-        cums = self._cums
-        for k in range(3):
-            if k:
-                wphi *= self.s
-            np.sum(wphi, axis=0, out=self._panel_sum)
-            np.cumsum(self._panel_sum, out=cums[k, 1:])
-        # P_k at the nodes, and P_0..2(eta), P_0..2(1)
-        out = np.einsum("kn,jkn->jn", cums, self._weights[:, 0])
-        ends = cums[:, (self.eta_pos, -1)].T.ravel()
-        out += ends @ self._weights[:, 1:].reshape(2, 6, -1)
-        return out[0], out[1]
-
-
-def _sample_state(op: _MomentOperator, g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the state at the quadrature points, clamped to y, yp >= 0.
-
-    The source expressions are only defined for nonnegative state arguments;
-    interpolation may overshoot below zero by a rounding-level amount, which
-    is clamped (and logged) rather than passed through.  The samples are
-    arrays the operator owns, so they are clamped in place.  A state too large
-    to sample in floating point raises :class:`EvalError`.
-    """
-    try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            vals, ders = op.sample(g)
-    except FloatingPointError as err:
-        raise EvalError(f"non-finite state samples: {err}") from err
-    n_neg = np.count_nonzero(vals < 0.0) + np.count_nonzero(ders < 0.0)
-    if n_neg:
-        logger.debug("clamped %d negative interpolated state samples to 0", n_neg)
-        np.maximum(vals, 0.0, out=vals)
-        np.maximum(ders, 0.0, out=ders)
-    return vals, ders
+            try:
+                y, yp = self.sample(values, derivs)
+            except FloatingPointError as err:
+                raise EvalError(f"non-finite state samples: {err}") from err
+            n_neg = np.count_nonzero(y < 0.0) + np.count_nonzero(yp < 0.0)
+            if n_neg:
+                logger.debug("clamped %d negative interpolated state samples to 0", n_neg)
+                np.maximum(y, 0.0, out=y)
+                np.maximum(yp, 0.0, out=yp)
+            # w * s^k * src in the source register: one multiply by s per moment
+            wphi = src.eval_array(self.s_flat, y, yp, work=self.work).reshape(self.s.shape)
+            cums = self._cums
+            try:
+                np.multiply(self.w, wphi, out=wphi)
+                for k in range(3):
+                    if k:
+                        wphi *= self.s
+                    np.sum(wphi, axis=0, out=self._panel_sum)
+                    np.cumsum(self._panel_sum, out=cums[k, 1:])
+                # P_k at the nodes (einsum reports no overflow), P_0..2(eta), P_0..2(1)
+                out = np.einsum("kn,jkn->jn", cums, self._weights[:, 0])
+                if not np.isfinite(out).all():
+                    raise FloatingPointError("overflow in the moment contraction")
+                ends = cums[:, (self.eta_pos, -1)].T.ravel()
+                out += ends @ self._weights[:, 1:].reshape(2, 6, -1)
+            except FloatingPointError as err:
+                raise EvalError(f"non-finite operator output: {err}") from err
+        return out[0], out[1]
 
 
 def apply_operator(
@@ -245,7 +242,4 @@ def apply_operator(
           or not np.array_equal(op.nodes, state.nodes)):
         raise ValueError("the moment operator was built for other parameters, "
                          "nodes or quad_points")
-    y, yp = _sample_state(op, state)
-    src_vals = src.eval_array(op.s_flat, y, yp, work=op.work)
-    values, derivs = op.apply(src_vals)
-    return GridFunction(state.nodes, values, derivs)
+    return GridFunction(state.nodes, *op(src, state.values, state.derivs))

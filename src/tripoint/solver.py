@@ -91,6 +91,8 @@ class SolveConfig:
             raise ValueError("quad_points must be >= 2")
         if isinstance(self.initial, str) and self.initial != "zero":
             raise ValueError("initial must be 'zero', a constant, or a CoupledState")
+        if isinstance(self.initial, (int, float)) and not np.isfinite(self.initial):
+            raise ValueError(f"initial must be finite, got {self.initial}")
 
 
 @dataclass

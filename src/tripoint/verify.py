@@ -35,7 +35,6 @@ __all__ = [
     "cone_membership",
     "GrowthScan",
     "growth_scan",
-    "default_scales",
 ]
 
 MIN_GRID = 11
@@ -196,10 +195,6 @@ def _default_directions() -> list[Direction]:
     return [(one, one), (one, zero), (zero, one), (ident, one)]
 
 
-def default_scales(lo: float = 1e-6, hi: float = 1e6, num: int = 25) -> np.ndarray:
-    return np.geomspace(lo, hi, num)
-
-
 @dataclass(frozen=True)
 class GrowthScan:
     scales: np.ndarray
@@ -222,7 +217,7 @@ def growth_scan(
     cannot define a ratio and are skipped.
     """
     dirs = list(directions) if directions is not None else _default_directions()
-    sc = np.asarray(scales if scales is not None else default_scales(), dtype=float)
+    sc = np.asarray(scales if scales is not None else np.geomspace(1e-6, 1e6, 25), dtype=float)
     if sc.size == 0 or np.any(sc <= 0) or np.any(np.diff(sc) <= 0):
         raise ValueError("scales must be positive and strictly increasing")
     tg = np.linspace(0.0, 1.0, t_samples)

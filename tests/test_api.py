@@ -32,3 +32,13 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"tripoint.{name}")
     for attr in getattr(module, "__all__", ()):
         assert hasattr(module, attr), f"tripoint.{name}.__all__ names missing {attr!r}"
+
+
+def test_package_exports_exactly_the_library_modules_exports():
+    # each public name is declared once, in its module's __all__; the CLI
+    # module is not part of the library API
+    union = set()
+    for name in SUBMODULES:
+        if name != "cli":
+            union |= set(importlib.import_module(f"tripoint.{name}").__all__)
+    assert set(tripoint.__all__) == union

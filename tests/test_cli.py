@@ -124,6 +124,38 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("nodes", 17.9), ("nodes", True), ("max_iters", True), ("max_iters", 5.5),
+    ("quad_points", 8.5), ("quad_points", False), ("tol", True), ("damping", True),
+])
+def test_config_rejects_truncated_or_boolean_settings(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, solver={key: value})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"solver.{key}" in err
+
+
+@pytest.mark.parametrize("initial", ["nan", "inf", "-inf"])
+def test_solve_rejects_non_finite_initial(capsys, initial):
+    code = main(["solve", "--alpha", "1.5", "--eta", "0.5", "--f", "0", "--h", "0",
+                 "--nodes", "17", f"--initial={initial}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial must be finite")
+
+
+def test_solve_operator_overflow_is_an_evaluation_error(capsys):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--alpha", "1.998", "--eta", "0.5", "--f", "1e306", "--h", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation failed at iteration 1")
+    assert "non-finite operator output" in err
+
+
 def test_verify_green_output_and_exit(tmp_path, capsys):
     rep = tmp_path / "cert.json"
     code = main(["verify-green", "--alpha", "1.5", "--eta", "0.5",

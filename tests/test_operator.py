@@ -143,7 +143,7 @@ def test_tabulated_basis_matches_interpolation(params, nodes):
     g = GridFunction(nodes, scale * np.sin(3 * nodes), 3 * scale * np.cos(3 * nodes))
     op = _MomentOperator(params, nodes, 8)
     assert op.basis is not None  # solver nodes hold eta: whole-interval panels
-    vals, ders = op.sample(g)
+    vals, ders = op.sample(g.values, g.derivs)
     ref_vals, ref_ders = interpolate(g, op.s_flat)
     assert np.max(np.abs(vals - ref_vals)) <= 1e-13 * scale
     assert np.max(np.abs(ders - ref_ders)) <= 1e-13 * scale
@@ -223,6 +223,39 @@ def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_exa
         g = _random_nonneg_state(nodes, rng)
         _assert_same_bits(apply_operator(params, src, g, quad_points, op),
                           apply_operator(params, src, g, quad_points))
+
+
+def test_operator_output_overflow_is_an_eval_error(f_example):
+    # G's weights carry 1/(1 - alpha*eta) = 1000 here, so a source of 1e306
+    # integrates to outputs beyond the float range
+    import warnings
+
+    from tripoint import ProblemParams
+    from tripoint.integral_op import _MomentOperator
+
+    p = ProblemParams(1.998, 0.5)
+    nodes = solver_nodes(65, p)
+    big = parse("1e306")
+    op = _MomentOperator(p, nodes, 8, (big, f_example))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError, match="non-finite operator output"):
+            apply_operator(p, big, GridFunction.zeros(nodes), 8, op)
+    # the operator is still usable after the failed call
+    g = _random_nonneg_state(nodes, np.random.default_rng(6))
+    _assert_same_bits(apply_operator(p, f_example, g, 8, op), apply_operator(p, f_example, g))
+
+
+def test_moment_contraction_overflow_is_an_eval_error(params, nodes):
+    # np.einsum does not report overflow, so the operator checks its result;
+    # weights scaled far beyond any kernel's make the contraction overflow
+    from tripoint.integral_op import _MomentOperator
+
+    src = parse("1e10")
+    op = _MomentOperator(params, nodes, 8, (src,))
+    op._weights[:, 0] *= 1e300
+    with pytest.raises(EvalError, match="non-finite operator output: overflow in the moment"):
+        op(src, np.zeros(nodes.size), np.zeros(nodes.size))
 
 
 def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example):

@@ -228,6 +228,32 @@ def test_state_overflow_is_a_solve_error_without_warnings(params):
     assert f"iteration {exc.value.iteration}" in message
 
 
+@pytest.mark.parametrize("alpha, f, h, initial, nodes, iteration", [
+    (1.5, "1e3*y+yp", "1e3*y+yp", 1.0, 17, None),  # overflows after many sweeps
+    (1.998, "1e306", "1", "zero", 65, 1),
+])
+def test_operator_overflow_is_a_solve_error_without_warnings(alpha, f, h, initial, nodes,
+                                                             iteration):
+    import warnings
+
+    cfg = SolveConfig(nodes=nodes, max_iters=200, initial=initial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolveError) as exc:
+            solve(ProblemParams(alpha, 0.5), parse(f), parse(h), cfg)
+    message = str(exc.value)
+    assert "non-finite operator output" in message
+    assert f"iteration {exc.value.iteration}:" in message
+    if iteration is not None:
+        assert exc.value.iteration == iteration
+
+
+def test_non_finite_initial_is_rejected(params):
+    for initial in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="initial"):
+            SolveConfig(initial=initial).validate()
+
+
 def test_evaluation_errors_carry_iteration_index(params):
     with pytest.raises(SolveError) as exc:
         solve(params, parse("log(y-1)"), parse("0"), SolveConfig(nodes=17, max_iters=5))
