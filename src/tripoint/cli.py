@@ -104,6 +104,8 @@ def _parse_initial(raw) -> str | float:
     if raw == "zero":
         return "zero"
     try:
+        if isinstance(raw, bool):
+            raise ValueError
         return float(raw)
     except (TypeError, ValueError):
         raise InputError(f"initial must be 'zero' or a number, got {raw!r}") from None

@@ -23,6 +23,13 @@ and 4 vanish and branch 1 spans [0, 0], so outputs vanish (value and
 derivative) exactly there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise
 makes the three-point derivative condition hold to rounding for any source.
 
+Each panel carries ``quad_points`` Gauss points, 4 by default.  Order 4 is
+the lowest that integrates a degree-7 panel integrand exactly: ``s^k * src``
+(k <= 2) for a source linear in (y, y') with constant coefficients on the
+cubic Hermite state has degree 5, and on a quintic state degree 7.  For
+other sources the cubic Hermite state sets a solve's error: order 8 gives
+the same error as order 4 (the README tabulates both).
+
 The discretisation (panels, Gauss points, moment weights) depends only on
 the parameters, the node set and the number of Gauss points per panel, so a
 solve builds one :class:`_MomentOperator` and reuses it: a half-sweep is
@@ -57,6 +64,10 @@ from .kernel import ProblemParams, _branch_coefficients
 __all__ = ["CoupledState", "apply_operator"]
 
 logger = logging.getLogger(__name__)
+
+
+#: Gauss points per node panel unless a caller asks for another order
+_QUAD_POINTS = 4
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +236,7 @@ def apply_operator(
     p: ProblemParams,
     src: Expr,
     state: GridFunction,
-    quad_points: int = 8,
+    quad_points: int = _QUAD_POINTS,
     op: Optional[_MomentOperator] = None,
 ) -> GridFunction:
     """One half of the coupled sweep: integrate src(s, state, state') against the kernel.

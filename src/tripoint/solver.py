@@ -35,15 +35,16 @@ dense grid), boundary-condition defects, cone membership and positivity.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
 
 from . import verify
-from .expr import EvalError, Expr
+from .expr import EvalError, Expr, Workspace
 from .gridfn import GridFunction, interpolate, solver_nodes
-from .integral_op import CoupledState, _MomentOperator, apply_operator
+from .integral_op import _QUAD_POINTS, CoupledState, _MomentOperator, apply_operator
 from .kernel import ProblemParams
 
 __all__ = ["SolveConfig", "SolveReport", "SolveError", "solve", "residual", "bc_defect"]
@@ -75,24 +76,31 @@ class SolveConfig:
     tol: float = 1e-10
     damping: float = 1.0
     nodes: int = 65
-    quad_points: int = 8
+    quad_points: int = _QUAD_POINTS
     initial: Union[str, float, CoupledState] = "zero"
 
     def validate(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name, least in (("max_iters", 1), ("nodes", 9), ("quad_points", 2)):
+            _check_count(name, getattr(self, name), least)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.nodes < 9:
-            raise ValueError("nodes must be >= 9")
-        if self.quad_points < 2:
-            raise ValueError("quad_points must be >= 2")
         if isinstance(self.initial, str) and self.initial != "zero":
             raise ValueError("initial must be 'zero', a constant, or a CoupledState")
         if isinstance(self.initial, (int, float)) and not np.isfinite(self.initial):
             raise ValueError(f"initial must be finite, got {self.initial}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """A count is an integral number, never a boolean, as the CLI reads it."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -139,8 +147,9 @@ def solve(
 ) -> tuple[CoupledState, SolveReport]:
     """Iterate the coupled sweep to a fixed point and grade the result."""
     cfg.validate()
-    nodes = solver_nodes(cfg.nodes, p)
-    op = _MomentOperator(p, nodes, cfg.quad_points, (f, h))
+    nodes = solver_nodes(int(cfg.nodes), p)
+    quad_points = int(cfg.quad_points)
+    op = _MomentOperator(p, nodes, quad_points, (f, h))
     state = _initial_state(cfg, nodes)
     n = nodes.size
     beta = cfg.damping
@@ -150,10 +159,10 @@ def solve(
     converged = False
     x, u_prev = _node_data(state.v), _node_data(state.u)
     secant = None  # (x, r) of the previous sweep
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, int(cfg.max_iters) + 1):
         try:
-            u = apply_operator(p, f, GridFunction(nodes, x[:n], x[n:]), cfg.quad_points, op)
-            v = apply_operator(p, h, u, cfg.quad_points, op)
+            u = apply_operator(p, f, GridFunction(nodes, x[:n], x[n:]), quad_points, op)
+            v = apply_operator(p, h, u, quad_points, op)
         except EvalError as err:
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         u_data, g = _node_data(u), _node_data(v)
@@ -222,16 +231,19 @@ def residual(
     grid.  The third derivative is a fourth-order finite difference of those
     samples, and the source reads the other half's samples at the interior
     points: 3 points are dropped at each end where the centered stencil does
-    not fit.
+    not fit.  Both sources evaluate in one workspace at those points.
     """
     tg = np.linspace(0.0, 1.0, RESIDUAL_GRID)
     spacing = tg[1] - tg[0]
     inner = slice(RESIDUAL_SKIP, -RESIDUAL_SKIP)
+    t_in = tg[inner]
+    work = Workspace(t_in, (f, h))
     (uv, ud), (vv, vd) = interpolate(state.u, tg), interpolate(state.v, tg)
     out = []
     for gv, ov, od, src in ((uv, vv, vd, f), (vv, uv, ud, h)):
         d3 = _fd3(gv, spacing)
-        rhs = src.eval_array(tg[inner], np.maximum(ov[inner], 0.0), np.maximum(od[inner], 0.0))
+        rhs = src.eval_array(t_in, np.maximum(ov[inner], 0.0), np.maximum(od[inner], 0.0),
+                             work=work)
         out.append(float(np.max(np.abs(d3 + rhs))))
     return out[0], out[1]
 

@@ -144,6 +144,14 @@ def test_solve_rejects_non_finite_initial(capsys, initial):
     assert err.startswith("error: initial must be finite")
 
 
+@pytest.mark.parametrize("initial", [True, False])
+def test_config_rejects_boolean_initial(tmp_path, capsys, initial):
+    cfg = _write_config(tmp_path, f="y", h="y", solver={"nodes": 17, "initial": initial})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial must be 'zero' or a number")
+
+
 def test_solve_operator_overflow_is_an_evaluation_error(capsys):
     import warnings
 

@@ -173,7 +173,7 @@ def test_operator_rejects_unsupported_discretisations(params, nodes, f_example):
             call()
     # the operator is still usable after a rejected call
     _assert_same_bits(apply_operator(params, f_example, g, 8, op),
-                      apply_operator(params, f_example, g))
+                      apply_operator(params, f_example, g, 8))
 
 
 def test_workspace_and_operator_serve_only_their_own_sources(params, nodes, f_example, h_example):
@@ -189,7 +189,7 @@ def test_workspace_and_operator_serve_only_their_own_sources(params, nodes, f_ex
         apply_operator(params, h_example, g, 8, op)
     # the operator is still usable after a rejected call
     _assert_same_bits(apply_operator(params, f_example, g, 8, op),
-                      apply_operator(params, f_example, g))
+                      apply_operator(params, f_example, g, 8))
 
 
 def _assert_same_bits(w, ref):
@@ -243,7 +243,7 @@ def test_operator_output_overflow_is_an_eval_error(f_example):
             apply_operator(p, big, GridFunction.zeros(nodes), 8, op)
     # the operator is still usable after the failed call
     g = _random_nonneg_state(nodes, np.random.default_rng(6))
-    _assert_same_bits(apply_operator(p, f_example, g, 8, op), apply_operator(p, f_example, g))
+    _assert_same_bits(apply_operator(p, f_example, g, 8, op), apply_operator(p, f_example, g, 8))
 
 
 def test_moment_contraction_overflow_is_an_eval_error(params, nodes):
@@ -279,3 +279,37 @@ def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example):
     # stay below one array of quadrature-point size
     point_array = 8 * quad_points * (nodes.size - 1)
     assert peak < point_array
+
+
+@pytest.mark.parametrize("src, degree", [("1+y+yp", 5), ("t^2*y", 7)])
+def test_default_order_is_exact_up_to_degree_seven(params, src, degree):
+    # on the cubic state w the panel integrand s^k * src(s, w, w') (k <= 2)
+    # is a polynomial of the given degree, which 4 Gauss points integrate
+    # exactly; 3 points are exact only up to degree 5
+    P = np.polynomial.polynomial
+    nodes = solver_nodes(17, params)
+    a = [0.5, 0.25, 1.0, 0.125]
+    g = GridFunction(nodes, P.polyval(nodes, a), P.polyval(nodes, P.polyder(a)))
+    if src == "1+y+yp":
+        q = [1 + a[0] + a[1], a[1] + 2 * a[2], a[2] + 3 * a[3], a[3]]
+    else:
+        q = [0, 0, *a]
+    u, du = poly_bvp_solution(Fraction(3, 2), Fraction(1, 2), q)
+    exact = GridFunction(nodes, np.array([u(t) for t in nodes]), np.array([du(t) for t in nodes]))
+    w4, w8, w3 = (apply_operator(params, parse(src), g, order) for order in (4, 8, 3))
+    for w in (w4, w8):
+        assert np.max(np.abs(w.values - exact.values)) <= 1e-14
+        assert np.max(np.abs(w.derivs - exact.derivs)) <= 1e-14
+    assert np.max(np.abs(w4.values - w8.values)) <= 1e-14
+    assert np.max(np.abs(w4.derivs - w8.derivs)) <= 1e-14
+    miss = max(np.max(np.abs(w3.values - exact.values)), np.max(np.abs(w3.derivs - exact.derivs)))
+    assert (miss <= 1e-14) == (degree <= 5)
+
+
+def test_default_order_is_the_solver_default():
+    import inspect
+
+    from tripoint import SolveConfig
+
+    default = inspect.signature(apply_operator).parameters["quad_points"].default
+    assert default == SolveConfig().quad_points == 4

@@ -11,6 +11,7 @@ from tripoint import (
     SolveError,
     apply_operator,
     bc_defect,
+    interpolate,
     parse,
     residual,
     solve,
@@ -335,3 +336,46 @@ def test_solve_returns_operator_outputs(params, f_example, h_example, max_iters)
     w = apply_operator(params, h_example, state.u, cfg.quad_points)
     assert w.values.tobytes() == state.v.values.tobytes()
     assert w.derivs.tobytes() == state.v.derivs.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nodes", 17.5), ("max_iters", True), ("quad_points", 8.7),
+    ("nodes", False), ("quad_points", True), ("max_iters", 2.5), ("nodes", "17"),
+    ("quad_points", float("nan")), ("max_iters", float("inf")),
+])
+def test_config_rejects_non_integral_or_boolean_counts(params, field, value):
+    cfg = SolveConfig(**{"nodes": 17, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        solve(params, parse("1"), parse("1"), cfg)
+
+
+def test_config_takes_integral_floats_as_counts(params, f_example, h_example):
+    # the CLI's rule: an integral number is a count, whatever its type
+    a, _ = solve(params, f_example, h_example, SolveConfig(nodes=17, max_iters=50, quad_points=4))
+    b, _ = solve(params, f_example, h_example,
+                 SolveConfig(nodes=17.0, max_iters=50.0, quad_points=np.float64(4.0)))
+    for g, g_ref in ((b.u, a.u), (b.v, a.v)):
+        assert g.values.tobytes() == g_ref.values.tobytes()
+        assert g.derivs.tobytes() == g_ref.derivs.tobytes()
+
+
+def test_gauss_order_4_and_8_solve_the_example_alike(params, f_example, h_example):
+    # the cubic Hermite state, not the Gauss order, sets the solution error:
+    # the two orders agree to rounding at 129 nodes, and at 17 nodes they
+    # differ by a small share of the error against a fine reference
+    ref, _ = solve(params, f_example, h_example, SolveConfig(nodes=2049, tol=1e-13))
+
+    def c1_distance(a, b):
+        return max(c1_norm(lincomb(1.0, a.u, -1.0, b.u)), c1_norm(lincomb(1.0, a.v, -1.0, b.v)))
+
+    for nodes in (17, 129):
+        by_order = {q: solve(params, f_example, h_example, SolveConfig(nodes=nodes, quad_points=q))
+                    for q in (4, 8)}
+        assert all(report.converged for _, report in by_order.values())
+        drift = c1_distance(by_order[4][0], by_order[8][0])
+        if nodes == 129:
+            assert drift <= 1e-12
+        else:
+            grid = by_order[8][0].nodes
+            exact = CoupledState(*(GridFunction(grid, *interpolate(g, grid)) for g in (ref.u, ref.v)))
+            assert drift <= 0.01 * c1_distance(by_order[8][0], exact)
