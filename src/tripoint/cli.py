@@ -143,7 +143,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         tol=_setting(s, "tol", float),
         damping=_setting(s, "damping", float),
         nodes=_setting(s, "nodes", int),
-        quad_points=_setting(s, "quad_points", int),
         initial=_parse_initial(s["initial"]),
     )
     state, report = solve(p, f, h, solve_cfg)
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float)
     sp.add_argument("--max-iter", type=int, dest="max_iters")
     sp.add_argument("--damping", type=float)
-    sp.add_argument("--quad-points", type=int)
     sp.add_argument("--initial")
     sp.add_argument("--out-csv")
     sp.add_argument("--dump-config", action="store_true", help="print the effective config and exit")

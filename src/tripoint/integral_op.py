@@ -23,22 +23,21 @@ and 4 vanish and branch 1 spans [0, 0], so outputs vanish (value and
 derivative) exactly there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise
 makes the three-point derivative condition hold to rounding for any source.
 
-Each panel carries ``quad_points`` Gauss points, 4 by default.  Order 4 is
-the lowest that integrates a degree-7 panel integrand exactly: ``s^k * src``
-(k <= 2) for a source linear in (y, y') with constant coefficients on the
-cubic Hermite state has degree 5, and on a quintic state degree 7.  For
-other sources the cubic Hermite state sets a solve's error: order 8 gives
-the same error as order 4 (the README tabulates both).
+Each panel carries ``_QUAD_POINTS`` = 4 Gauss points, the lowest order
+exact for a degree-7 panel integrand: ``s^k * src`` (k <= 2) for a source
+linear in (y, y') with constant coefficients has degree 5 on the cubic
+Hermite state and 7 on a quintic one.  For other sources the Hermite state
+sets a solve's error; orders 3 and 8 give the same error (README table).
 
 The discretisation (panels, Gauss points, moment weights) depends only on
-the parameters, the node set and the number of Gauss points per panel, so a
-solve builds one :class:`_MomentOperator` and reuses it: a half-sweep is
-one call ``op(src, values, derivs)`` from the state's node data to the
-output's, under one floating-point guard, and :func:`apply_operator` wraps
-it for grid functions.  The Gauss points sit at the same reference
-coordinates in every panel, so sampling the state's cubic Hermite
-interpolant is a product of the per-panel node data with a tabulated q x 4
-basis (:func:`~tripoint.gridfn._hermite_basis`).
+the parameters and the node set, so a solve builds one
+:class:`_MomentOperator` and reuses it: a half-sweep is one call
+``op(src, values, derivs)`` from the state's node data to the output's,
+under one floating-point guard, and :func:`apply_operator` wraps it for
+grid functions.  The Gauss points sit at the same reference coordinates in
+every panel, so sampling the state's cubic Hermite interpolant is a product
+of the per-panel node data with a tabulated q x 4 basis
+(:func:`~tripoint.gridfn._hermite_basis`).
 
 The operator is built for the sources it will integrate (a solve's f and
 h).  It holds one block with the Gauss points and weights, the state
@@ -66,7 +65,7 @@ __all__ = ["CoupledState", "apply_operator"]
 logger = logging.getLogger(__name__)
 
 
-#: Gauss points per node panel unless a caller asks for another order
+#: Gauss points per node panel: exact for panel integrands up to degree 7
 _QUAD_POINTS = 4
 
 
@@ -107,14 +106,14 @@ class CoupledState:
 class _MomentOperator:
     """Cumulative-moment evaluation of the kernel integrals at the nodes.
 
-    Built once per parameter pair, node set and Gauss order ``quad_points``;
-    the node set must contain eta.  Each call is then one half-sweep for a
-    state on that node set.  Quadrature arrays are stored as (q, panels), so
-    the per-panel sums run over contiguous rows.  The panels are the node
-    intervals, and the Hermite basis at the Gauss points is tabulated as two
-    q x 4 matrices: one weighs (v_j, h_j d_j, v_{j+1}, h_j d_{j+1}) into
-    values, the other (v_j / h_j, d_j, v_{j+1} / h_j, d_{j+1}) into slopes,
-    with h_j the width of panel j.
+    Built once per parameter pair and node set, which must contain eta, with
+    ``_QUAD_POINTS`` Gauss points per panel.  Each call is then one half-sweep
+    for a state on that node set.  Quadrature arrays are stored as
+    (q, panels), so the per-panel sums run over contiguous rows.  The panels
+    are the node intervals, and the Hermite basis at the Gauss points is
+    tabulated as two q x 4 matrices: one weighs (v_j, h_j d_j, v_{j+1},
+    h_j d_{j+1}) into values, the other (v_j / h_j, d_j, v_{j+1} / h_j,
+    d_{j+1}) into slopes, with h_j the width of panel j.
 
     Everything a half-sweep needs beyond the state and the source is built
     here once, in one block: the sampled values and slopes, the 4 x panels
@@ -129,16 +128,12 @@ class _MomentOperator:
     arrays :meth:`sample` returns are overwritten by the next half-sweep.
     """
 
-    def __init__(self, p: ProblemParams, nodes: np.ndarray, quad_points: int,
-                 sources: tuple[Expr, ...] = ()):
-        if quad_points < 2:
-            raise ValueError("quad_points must be >= 2")
+    def __init__(self, p: ProblemParams, nodes: np.ndarray, sources: tuple[Expr, ...] = ()):
         if p.eta not in nodes:
             raise ValueError("the node set must contain eta")
         self.p = p
         self.nodes = nodes
-        self.quad_points = quad_points
-        m, q = nodes.size - 1, quad_points
+        m, q = nodes.size - 1, _QUAD_POINTS
         n_rows = Workspace.rows_for(sources)
         # one block: Gauss points and weights, sampled values and slopes
         # (q x m each), the node-data stack (4 x m), panel sums (m),
@@ -232,25 +227,18 @@ class _MomentOperator:
         return out[0], out[1]
 
 
-def apply_operator(
-    p: ProblemParams,
-    src: Expr,
-    state: GridFunction,
-    quad_points: int = _QUAD_POINTS,
-    op: Optional[_MomentOperator] = None,
-) -> GridFunction:
+def apply_operator(p: ProblemParams, src: Expr, state: GridFunction,
+                   op: Optional[_MomentOperator] = None) -> GridFunction:
     """One half of the coupled sweep: integrate src(s, state, state') against the kernel.
 
     Returns a grid function on the same node set whose values come from G and
     whose derivatives come from dG/dt.  Output value and derivative at t = 0
     are exactly zero.  The node set must contain eta.  ``op`` is a
-    discretisation built beforehand for ``(p, state.nodes, quad_points)``
-    and sources that include ``src``; without it one is built for this call.
+    discretisation built beforehand for ``(p, state.nodes)`` and sources that
+    include ``src``; without it one is built for this call.
     """
     if op is None:
-        op = _MomentOperator(p, state.nodes, quad_points, (src,))
-    elif (op.p != p or op.quad_points != quad_points
-          or not np.array_equal(op.nodes, state.nodes)):
-        raise ValueError("the moment operator was built for other parameters, "
-                         "nodes or quad_points")
+        op = _MomentOperator(p, state.nodes, (src,))
+    elif op.p != p or not np.array_equal(op.nodes, state.nodes):
+        raise ValueError("the moment operator was built for other parameters or nodes")
     return GridFunction(state.nodes, *op(src, state.values, state.derivs))

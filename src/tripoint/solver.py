@@ -44,7 +44,7 @@ import numpy as np
 from . import verify
 from .expr import EvalError, Expr, Workspace
 from .gridfn import GridFunction, interpolate, solver_nodes
-from .integral_op import _QUAD_POINTS, CoupledState, _MomentOperator, apply_operator
+from .integral_op import CoupledState, _MomentOperator, apply_operator
 from .kernel import ProblemParams
 
 __all__ = ["SolveConfig", "SolveReport", "SolveError", "solve", "residual", "bc_defect"]
@@ -72,35 +72,48 @@ class SolveError(RuntimeError):
 
 @dataclass
 class SolveConfig:
+    """Settings of :func:`solve`, which :meth:`validate` checks as the CLI reads them.
+
+    ``max_iters`` (an integer >= 1) bounds the sweeps, which stop at a step of
+    ``tol`` (a number > 0); ``damping`` is the relaxation factor (a number in
+    (0, 1]); ``nodes`` (an integer >= 9) counts the Chebyshev nodes before the
+    cone window's ends are added; ``initial`` is ``"zero"``, a finite constant
+    or a :class:`CoupledState`.  An integral float is an integer; a boolean is
+    never a number.
+    """
+
     max_iters: int = 200
     tol: float = 1e-10
     damping: float = 1.0
     nodes: int = 65
-    quad_points: int = _QUAD_POINTS
     initial: Union[str, float, CoupledState] = "zero"
 
     def validate(self) -> None:
-        for name, least in (("max_iters", 1), ("nodes", 9), ("quad_points", 2)):
-            _check_count(name, getattr(self, name), least)
+        for name, least in (("max_iters", 1), ("nodes", 9)):
+            value = getattr(self, name)
+            if not (_is_real(value) and (isinstance(value, numbers.Integral)
+                                         or float(value).is_integer())):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        for name in ("tol", "damping"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if isinstance(self.initial, str) and self.initial != "zero":
+        init = self.initial
+        if not (init == "zero" if isinstance(init, str)
+                else isinstance(init, CoupledState) or _is_real(init)):
             raise ValueError("initial must be 'zero', a constant, or a CoupledState")
-        if isinstance(self.initial, (int, float)) and not np.isfinite(self.initial):
-            raise ValueError(f"initial must be finite, got {self.initial}")
+        if _is_real(init) and not np.isfinite(init):
+            raise ValueError(f"initial must be finite, got {init}")
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """A count is an integral number, never a boolean, as the CLI reads it."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral)
-        or isinstance(value, numbers.Real) and float(value).is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
+def _is_real(value) -> bool:
+    """A number is a real, never a boolean, as the CLI reads it."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -148,8 +161,7 @@ def solve(
     """Iterate the coupled sweep to a fixed point and grade the result."""
     cfg.validate()
     nodes = solver_nodes(int(cfg.nodes), p)
-    quad_points = int(cfg.quad_points)
-    op = _MomentOperator(p, nodes, quad_points, (f, h))
+    op = _MomentOperator(p, nodes, (f, h))
     state = _initial_state(cfg, nodes)
     n = nodes.size
     beta = cfg.damping
@@ -161,8 +173,8 @@ def solve(
     secant = None  # (x, r) of the previous sweep
     for it in range(1, int(cfg.max_iters) + 1):
         try:
-            u = apply_operator(p, f, GridFunction(nodes, x[:n], x[n:]), quad_points, op)
-            v = apply_operator(p, h, u, quad_points, op)
+            u = apply_operator(p, f, GridFunction(nodes, x[:n], x[n:]), op=op)
+            v = apply_operator(p, h, u, op=op)
         except EvalError as err:
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         u_data, g = _node_data(u), _node_data(v)

@@ -40,6 +40,8 @@ __all__ = [
 MIN_GRID = 11
 #: points per row block of the kernel sweep: 40 rows, 256 KiB per array, at grid 801
 _BLOCK_POINTS = 1 << 15
+#: uniform t samples on [0, 1] of a growth scan
+_SCAN_T_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,6 @@ def growth_scan(
     e: Expr,
     directions: Sequence[Direction] | None = None,
     scales: np.ndarray | None = None,
-    t_samples: int = 101,
 ) -> GrowthScan:
     """Sample ratio(c) = max over t and directions of e(t, c*phi, c*psi)/(c*(|phi|+|psi|)).
 
@@ -220,7 +221,7 @@ def growth_scan(
     sc = np.asarray(scales if scales is not None else np.geomspace(1e-6, 1e6, 25), dtype=float)
     if sc.size == 0 or np.any(sc <= 0) or np.any(np.diff(sc) <= 0):
         raise ValueError("scales must be positive and strictly increasing")
-    tg = np.linspace(0.0, 1.0, t_samples)
+    tg = np.linspace(0.0, 1.0, _SCAN_T_POINTS)
     profiles = []
     for phi, psi in dirs:
         ph = np.broadcast_to(np.asarray(phi(tg), dtype=float), tg.shape)

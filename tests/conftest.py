@@ -49,7 +49,7 @@ def example_solution_fine():
     s = cfg["solver"]
     solve_cfg = SolveConfig(
         max_iters=s["max_iters"], tol=s["tol"], damping=s["damping"],
-        nodes=s["nodes"], quad_points=s["quad_points"], initial=s["initial"],
+        nodes=s["nodes"], initial=s["initial"],
     )
     t0 = time.perf_counter()
     state, report = solve(p, f, h, solve_cfg)

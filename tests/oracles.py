@@ -280,7 +280,7 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
     """
     cfg.validate()
     nodes = solver_nodes(cfg.nodes, p)
-    op = _MomentOperator(p, nodes, cfg.quad_points, (f, h))
+    op = _MomentOperator(p, nodes, (f, h))
     state = _initial_state(cfg, nodes)
     u, v = state.u, state.v
 
@@ -291,8 +291,8 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
     converged = False
     for it in range(1, cfg.max_iters + 1):
         try:
-            u, step_u = _relax(u, apply_operator(p, f, v, cfg.quad_points, op), lam)
-            v, step_v = _relax(v, apply_operator(p, h, u, cfg.quad_points, op), lam)
+            u, step_u = _relax(u, apply_operator(p, f, v, op=op), lam)
+            v, step_v = _relax(v, apply_operator(p, h, u, op=op), lam)
         except EvalError as err:
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         step = float(max(step_u, step_v))

@@ -4,11 +4,13 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import tripoint
+from tripoint.cli import build_parser
 
 README = Path(__file__).parent.parent / "README.md"
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(tripoint.__path__))
@@ -19,6 +21,16 @@ def test_readme_library_sketch_runs():
     section = text.split("## Library sketch", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md: Library sketch", "exec"), {})
+
+
+def test_readme_commands_parse():
+    # every documented command names only flags the CLI still has
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("tripoint ")]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_star_import_resolves_every_export():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tripoint.cli import main
+from tripoint import SolveConfig, cli
+from tripoint.cli import DEFAULT_CONFIG, build_parser, main
 
 from conftest import CONFIG_DIR, EXAMPLE_F, EXAMPLE_H
 
@@ -122,6 +124,35 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     path.write_text(json.dumps({"alpha": 1.5, "etaa": 0.5}), encoding="utf-8")
     assert main(["solve", "--config", str(path)]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_rejects_a_dropped_setting(tmp_path, capsys):
+    # the Gauss order is fixed; a config dumped when it was a setting fails loudly
+    cfg = _write_config(tmp_path, solver={"nodes": 17, "quad_points": 4})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "unknown config key solver.quad_points" in capsys.readouterr().err
+
+
+def test_every_solver_setting_is_a_config_key_and_a_flag():
+    fields = {f.name for f in dataclasses.fields(SolveConfig)}
+    assert set(DEFAULT_CONFIG["solver"]) == fields
+    assert fields <= set(vars(build_parser().parse_args(["solve"])))
+
+
+def test_config_settings_reach_the_solver(tmp_path, monkeypatch):
+    settings = {"max_iters": 7, "tol": 1e-6, "damping": 0.5, "nodes": 33, "initial": 0.25}
+    assert set(settings) == {f.name for f in dataclasses.fields(SolveConfig)}
+    assert all(getattr(SolveConfig(), k) != v for k, v in settings.items())
+    real_solve, seen = cli.solve, []
+
+    def recording_solve(p, f, h, cfg):
+        seen.append(cfg)
+        return real_solve(p, f, h, cfg)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    cfg = _write_config(tmp_path, solver=settings)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert seen == [SolveConfig(**settings)]
 
 
 @pytest.mark.parametrize("key, value", [

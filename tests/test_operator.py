@@ -10,6 +10,7 @@ from tripoint import (
     EvalError,
     GridFunction,
     apply_operator,
+    integral_op,
     interpolate,
     parse,
     solver_nodes,
@@ -136,12 +137,13 @@ def test_output_derivatives_consistent_with_values(params, nodes, f_example):
     assert np.max(np.abs((vp - vm) / (2 * h) - d)) <= 1e-5
 
 
-def test_tabulated_basis_matches_interpolation(params, nodes):
+def test_tabulated_basis_matches_interpolation(params, nodes, monkeypatch):
     from tripoint.integral_op import _MomentOperator
 
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", 8)
     scale = 1e3
     g = GridFunction(nodes, scale * np.sin(3 * nodes), 3 * scale * np.cos(3 * nodes))
-    op = _MomentOperator(params, nodes, 8)
+    op = _MomentOperator(params, nodes)
     assert op.basis is not None  # solver nodes hold eta: whole-interval panels
     vals, ders = op.sample(g.values, g.derivs)
     ref_vals, ref_ders = interpolate(g, op.s_flat)
@@ -149,47 +151,47 @@ def test_tabulated_basis_matches_interpolation(params, nodes):
     assert np.max(np.abs(ders - ref_ders)) <= 1e-13 * scale
 
 
-def test_operator_rejects_unsupported_discretisations(params, nodes, f_example):
+def test_operator_rejects_unsupported_discretisations(params, nodes, f_example, monkeypatch):
     from tripoint import ProblemParams
     from tripoint.integral_op import _MomentOperator
 
-    with pytest.raises(ValueError, match="quad_points"):
-        _MomentOperator(params, nodes, 1)
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", 8)
     no_eta = nodes[nodes != params.eta]
     with pytest.raises(ValueError, match="eta"):
-        _MomentOperator(params, no_eta, 8)
+        _MomentOperator(params, no_eta)
     with pytest.raises(ValueError, match="eta"):
         apply_operator(params, f_example, GridFunction.zeros(no_eta))
-    # a prebuilt operator serves only its own parameters, nodes and order
-    op = _MomentOperator(params, nodes, 8, (f_example,))
+    # a prebuilt operator serves only its own parameters and nodes
+    op = _MomentOperator(params, nodes, (f_example,))
     g = _random_nonneg_state(nodes, np.random.default_rng(3))
     other = ProblemParams(1.2, params.eta)  # same eta: the nodes still fit
     for call in (
-        lambda: apply_operator(other, f_example, g, 8, op),
-        lambda: apply_operator(params, f_example, g, 4, op),
-        lambda: apply_operator(params, f_example, GridFunction.zeros(np.linspace(0, 1, 9)), 8, op),
+        lambda: apply_operator(other, f_example, g, op),
+        lambda: apply_operator(params, f_example, GridFunction.zeros(np.linspace(0, 1, 9)), op),
     ):
         with pytest.raises(ValueError, match="built for other"):
             call()
     # the operator is still usable after a rejected call
-    _assert_same_bits(apply_operator(params, f_example, g, 8, op),
-                      apply_operator(params, f_example, g, 8))
+    _assert_same_bits(apply_operator(params, f_example, g, op),
+                      apply_operator(params, f_example, g))
 
 
-def test_workspace_and_operator_serve_only_their_own_sources(params, nodes, f_example, h_example):
+def test_workspace_and_operator_serve_only_their_own_sources(params, nodes, f_example, h_example,
+                                                             monkeypatch):
     from tripoint.expr import Workspace
     from tripoint.integral_op import _MomentOperator
 
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", 8)
     s = np.linspace(0.0, 1.0, 9)
     with pytest.raises(ValueError, match="not built for"):
         h_example.eval_array(s, s, s, work=Workspace(s, (f_example,)))
-    op = _MomentOperator(params, nodes, 8, (f_example,))
+    op = _MomentOperator(params, nodes, (f_example,))
     g = _random_nonneg_state(nodes, np.random.default_rng(5))
     with pytest.raises(ValueError, match="not built for"):
-        apply_operator(params, h_example, g, 8, op)
+        apply_operator(params, h_example, g, op)
     # the operator is still usable after a rejected call
-    _assert_same_bits(apply_operator(params, f_example, g, 8, op),
-                      apply_operator(params, f_example, g, 8))
+    _assert_same_bits(apply_operator(params, f_example, g, op),
+                      apply_operator(params, f_example, g))
 
 
 def _assert_same_bits(w, ref):
@@ -197,35 +199,34 @@ def _assert_same_bits(w, ref):
     assert w.derivs.tobytes() == ref.derivs.tobytes()
 
 
-def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_example):
+def test_one_operator_serves_alternating_sources(params, nodes, f_example, h_example, monkeypatch):
     # as in a solve, one operator (and its workspace) takes its sources in
     # turn; a third source needs more rows than either, and every source
     # keeps its own t-only values while the others run
     from tripoint.integral_op import _MomentOperator
 
-    quad_points = 8
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", 8)
     k = parse("(t+2)*exp(0-yp) + t^3*(y*(y+yp) + sqrt(t)*yp)")
     bad = parse("log(y-1)")
-    op = _MomentOperator(params, nodes, quad_points, (f_example, h_example, k, bad))
+    op = _MomentOperator(params, nodes, (f_example, h_example, k, bad))
     rng = np.random.default_rng(9)
     kept = []
     for src in (f_example, h_example, f_example, k, f_example, h_example, k):
         g = _random_nonneg_state(nodes, rng, scale=10.0 ** rng.uniform(-1, 1))
-        w = apply_operator(params, src, g, quad_points, op)
-        _assert_same_bits(w, apply_operator(params, src, g, quad_points))
+        w = apply_operator(params, src, g, op)
+        _assert_same_bits(w, apply_operator(params, src, g))
         kept.append((w, w.values.tobytes(), w.derivs.tobytes()))
     for w, values, derivs in kept:  # earlier outputs do not share the workspace
         assert w.values.tobytes() == values and w.derivs.tobytes() == derivs
     # a domain fault in the middle of a tape leaves the operator usable
     with pytest.raises(EvalError):
-        apply_operator(params, bad, GridFunction.zeros(nodes), quad_points, op)
+        apply_operator(params, bad, GridFunction.zeros(nodes), op)
     for src in (f_example, h_example, k):
         g = _random_nonneg_state(nodes, rng)
-        _assert_same_bits(apply_operator(params, src, g, quad_points, op),
-                          apply_operator(params, src, g, quad_points))
+        _assert_same_bits(apply_operator(params, src, g, op), apply_operator(params, src, g))
 
 
-def test_operator_output_overflow_is_an_eval_error(f_example):
+def test_operator_output_overflow_is_an_eval_error(f_example, monkeypatch):
     # G's weights carry 1/(1 - alpha*eta) = 1000 here, so a source of 1e306
     # integrates to outputs beyond the float range
     import warnings
@@ -233,45 +234,48 @@ def test_operator_output_overflow_is_an_eval_error(f_example):
     from tripoint import ProblemParams
     from tripoint.integral_op import _MomentOperator
 
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", 8)
     p = ProblemParams(1.998, 0.5)
     nodes = solver_nodes(65, p)
     big = parse("1e306")
-    op = _MomentOperator(p, nodes, 8, (big, f_example))
+    op = _MomentOperator(p, nodes, (big, f_example))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvalError, match="non-finite operator output"):
-            apply_operator(p, big, GridFunction.zeros(nodes), 8, op)
+            apply_operator(p, big, GridFunction.zeros(nodes), op)
     # the operator is still usable after the failed call
     g = _random_nonneg_state(nodes, np.random.default_rng(6))
-    _assert_same_bits(apply_operator(p, f_example, g, 8, op), apply_operator(p, f_example, g, 8))
+    _assert_same_bits(apply_operator(p, f_example, g, op), apply_operator(p, f_example, g))
 
 
-def test_moment_contraction_overflow_is_an_eval_error(params, nodes):
+def test_moment_contraction_overflow_is_an_eval_error(params, nodes, monkeypatch):
     # np.einsum does not report overflow, so the operator checks its result;
     # weights scaled far beyond any kernel's make the contraction overflow
     from tripoint.integral_op import _MomentOperator
 
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", 8)
     src = parse("1e10")
-    op = _MomentOperator(params, nodes, 8, (src,))
+    op = _MomentOperator(params, nodes, (src,))
     op._weights[:, 0] *= 1e300
     with pytest.raises(EvalError, match="non-finite operator output: overflow in the moment"):
         op(src, np.zeros(nodes.size), np.zeros(nodes.size))
 
 
-def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example):
+def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example, monkeypatch):
     import tracemalloc
 
     from tripoint.integral_op import _MomentOperator
 
     nodes = solver_nodes(2049, params)
     quad_points = 8
-    op = _MomentOperator(params, nodes, quad_points, (f_example,))
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", quad_points)
+    op = _MomentOperator(params, nodes, (f_example,))
     g = _random_nonneg_state(nodes, np.random.default_rng(4))
-    apply_operator(params, f_example, g, quad_points, op)  # computes the t-only values
+    apply_operator(params, f_example, g, op)  # computes the t-only values
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        apply_operator(params, f_example, g, quad_points, op)
+        apply_operator(params, f_example, g, op)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -282,7 +286,7 @@ def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example):
 
 
 @pytest.mark.parametrize("src, degree", [("1+y+yp", 5), ("t^2*y", 7)])
-def test_default_order_is_exact_up_to_degree_seven(params, src, degree):
+def test_default_order_is_exact_up_to_degree_seven(params, src, degree, monkeypatch):
     # on the cubic state w the panel integrand s^k * src(s, w, w') (k <= 2)
     # is a polynomial of the given degree, which 4 Gauss points integrate
     # exactly; 3 points are exact only up to degree 5
@@ -296,7 +300,11 @@ def test_default_order_is_exact_up_to_degree_seven(params, src, degree):
         q = [0, 0, *a]
     u, du = poly_bvp_solution(Fraction(3, 2), Fraction(1, 2), q)
     exact = GridFunction(nodes, np.array([u(t) for t in nodes]), np.array([du(t) for t in nodes]))
-    w4, w8, w3 = (apply_operator(params, parse(src), g, order) for order in (4, 8, 3))
+    outputs = []
+    for order in (4, 8, 3):
+        monkeypatch.setattr(integral_op, "_QUAD_POINTS", order)
+        outputs.append(apply_operator(params, parse(src), g))
+    w4, w8, w3 = outputs
     for w in (w4, w8):
         assert np.max(np.abs(w.values - exact.values)) <= 1e-14
         assert np.max(np.abs(w.derivs - exact.derivs)) <= 1e-14
@@ -305,11 +313,3 @@ def test_default_order_is_exact_up_to_degree_seven(params, src, degree):
     miss = max(np.max(np.abs(w3.values - exact.values)), np.max(np.abs(w3.derivs - exact.derivs)))
     assert (miss <= 1e-14) == (degree <= 5)
 
-
-def test_default_order_is_the_solver_default():
-    import inspect
-
-    from tripoint import SolveConfig
-
-    default = inspect.signature(apply_operator).parameters["quad_points"].default
-    assert default == SolveConfig().quad_points == 4

@@ -11,6 +11,7 @@ from tripoint import (
     SolveError,
     apply_operator,
     bc_defect,
+    integral_op,
     interpolate,
     parse,
     residual,
@@ -79,7 +80,6 @@ def test_config_validation(params):
         SolveConfig(damping=0.0),
         SolveConfig(damping=1.5),
         SolveConfig(nodes=5),
-        SolveConfig(quad_points=1),
         SolveConfig(initial="garbage"),
     ):
         with pytest.raises(ValueError):
@@ -333,15 +333,14 @@ def test_solve_returns_operator_outputs(params, f_example, h_example, max_iters)
     cfg = SolveConfig(nodes=129, max_iters=max_iters)
     state, report = solve(params, f_example, h_example, cfg)
     assert report.converged == (max_iters == 200)
-    w = apply_operator(params, h_example, state.u, cfg.quad_points)
+    w = apply_operator(params, h_example, state.u)
     assert w.values.tobytes() == state.v.values.tobytes()
     assert w.derivs.tobytes() == state.v.derivs.tobytes()
 
 
 @pytest.mark.parametrize("field, value", [
-    ("nodes", 17.5), ("max_iters", True), ("quad_points", 8.7),
-    ("nodes", False), ("quad_points", True), ("max_iters", 2.5), ("nodes", "17"),
-    ("quad_points", float("nan")), ("max_iters", float("inf")),
+    ("nodes", 17.5), ("max_iters", True), ("nodes", False), ("max_iters", 2.5),
+    ("nodes", "17"), ("max_iters", float("inf")),
 ])
 def test_config_rejects_non_integral_or_boolean_counts(params, field, value):
     cfg = SolveConfig(**{"nodes": 17, field: value})
@@ -349,17 +348,28 @@ def test_config_rejects_non_integral_or_boolean_counts(params, field, value):
         solve(params, parse("1"), parse("1"), cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol", True), ("tol", "1e-10"), ("damping", True), ("damping", None),
+    ("initial", True), ("initial", False), ("initial", [1.0]), ("initial", None),
+])
+def test_config_rejects_non_real_or_boolean_settings(params, f_example, h_example, field, value):
+    # the CLI's rule for every number: a real, never a boolean; tol=True
+    # would otherwise stop the example after 2 sweeps as converged
+    cfg = SolveConfig(**{"nodes": 17, field: value})
+    with pytest.raises(ValueError, match=f"^{field} "):
+        solve(params, f_example, h_example, cfg)
+
+
 def test_config_takes_integral_floats_as_counts(params, f_example, h_example):
     # the CLI's rule: an integral number is a count, whatever its type
-    a, _ = solve(params, f_example, h_example, SolveConfig(nodes=17, max_iters=50, quad_points=4))
-    b, _ = solve(params, f_example, h_example,
-                 SolveConfig(nodes=17.0, max_iters=50.0, quad_points=np.float64(4.0)))
+    a, _ = solve(params, f_example, h_example, SolveConfig(nodes=17, max_iters=50))
+    b, _ = solve(params, f_example, h_example, SolveConfig(nodes=17.0, max_iters=50.0))
     for g, g_ref in ((b.u, a.u), (b.v, a.v)):
         assert g.values.tobytes() == g_ref.values.tobytes()
         assert g.derivs.tobytes() == g_ref.derivs.tobytes()
 
 
-def test_gauss_order_4_and_8_solve_the_example_alike(params, f_example, h_example):
+def test_gauss_order_4_and_8_solve_the_example_alike(params, f_example, h_example, monkeypatch):
     # the cubic Hermite state, not the Gauss order, sets the solution error:
     # the two orders agree to rounding at 129 nodes, and at 17 nodes they
     # differ by a small share of the error against a fine reference
@@ -369,8 +379,10 @@ def test_gauss_order_4_and_8_solve_the_example_alike(params, f_example, h_exampl
         return max(c1_norm(lincomb(1.0, a.u, -1.0, b.u)), c1_norm(lincomb(1.0, a.v, -1.0, b.v)))
 
     for nodes in (17, 129):
-        by_order = {q: solve(params, f_example, h_example, SolveConfig(nodes=nodes, quad_points=q))
-                    for q in (4, 8)}
+        by_order = {}
+        for q in (4, 8):
+            monkeypatch.setattr(integral_op, "_QUAD_POINTS", q)
+            by_order[q] = solve(params, f_example, h_example, SolveConfig(nodes=nodes))
         assert all(report.converged for _, report in by_order.values())
         drift = c1_distance(by_order[4][0], by_order[8][0])
         if nodes == 129:
