@@ -281,7 +281,7 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
     cfg.validate()
     nodes = solver_nodes(cfg.nodes, p)
     op = _MomentOperator(p, nodes, (f, h))
-    state = _initial_state(cfg, nodes)
+    state = _initial_state(cfg.initial, nodes)
     u, v = state.u, state.v
 
     lam = cfg.damping

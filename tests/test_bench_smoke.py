@@ -1,4 +1,4 @@
-"""Smoke runs of the benchmark harness: short traced passes of two workloads.
+"""Smoke runs of the benchmark harness: short traced passes of three workloads.
 
 The tracer in ``perfbench/tracing.py`` wraps program attributes by name, so
 a rename in ``src/`` breaks the benchmark without failing any other test.
@@ -28,6 +28,22 @@ def test_traced_sweep_run_is_correct():
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     assert metrics["integral_op.apply_calls"] == 2 * metrics["solver.iters"]
     assert metrics["expr.eval_calls"] >= metrics["integral_op.apply_calls"]
+
+
+def test_traced_example_run_counts_both_grids():
+    # the only workload whose solves run the coarse grid: its sweeps and its
+    # second operator build must show in the bookkeeping
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "example-8193",
+           "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    details_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    details, result = json.loads(details_line), json.loads(result_line)
+    assert result["correct"] is True
+    assert details["harness_problems"] == []
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    assert metrics["integral_op.apply_calls"] == 2 * metrics["solver.iters"]
+    assert metrics["quadrature.panel_points_calls"] == 2
 
 
 def test_traced_certify_run_reaches_the_kernels():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tripoint.solver as solver_module
 from tripoint import (
     CoupledState,
     GridFunction,
@@ -283,17 +284,21 @@ def test_report_serialization_round_trip(params, example_solution):
     }
 
 
-def test_solve_builds_its_discretisation_once(params, f_example, h_example, monkeypatch):
-    import tripoint.integral_op as integral_op
-
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the test; returns the list that grows by one per call."""
     calls = []
-    original = integral_op.panel_points
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(integral_op, "panel_points", counting)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_solve_builds_its_discretisation_once(params, f_example, h_example, monkeypatch):
+    calls = _count_calls(monkeypatch, integral_op, "panel_points")
     _, report = solve(params, f_example, h_example, SolveConfig(nodes=65))
     assert report.iters >= 5
     assert len(calls) == 1
@@ -391,3 +396,64 @@ def test_gauss_order_4_and_8_solve_the_example_alike(params, f_example, h_exampl
             grid = by_order[8][0].nodes
             exact = CoupledState(*(GridFunction(grid, *interpolate(g, grid)) for g in (ref.u, ref.v)))
             assert drift <= 0.01 * c1_distance(by_order[8][0], exact)
+
+
+# From 4097 nodes up, a solve converges on a 257-node grid first and finishes
+# on the fine grid; setting the panel ratio out of reach gives the one-grid solve.
+_TWO_GRID_NODES = 4097
+
+
+@pytest.mark.parametrize("problem", [("example", 1.5, 0.5), ("example", 2.5, 0.3), ("seeded", 3)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_two_grid_and_one_grid_solves_agree(problem, f_example, h_example, monkeypatch):
+    if problem[0] == "example":
+        p, f, h = ProblemParams(*problem[1:]), f_example, h_example
+    else:
+        p, f, h = _seeded_problem(problem[1])
+    cfg = SolveConfig(nodes=_TWO_GRID_NODES, tol=1e-10)
+    two, two_report = solve(p, f, h, cfg)
+    monkeypatch.setattr(solver_module, "_COARSE_RATIO", 10**9)
+    one, one_report = solve(p, f, h, cfg)
+    assert two_report.converged and one_report.converged
+    for g, g_ref in ((two.u, one.u), (two.v, one.v)):
+        assert c1_norm(lincomb(1.0, g, -1.0, g_ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 200])
+def test_two_grid_solve_counts_sweeps_on_both_grids(params, f_example, h_example, max_iters):
+    cfg = SolveConfig(nodes=_TWO_GRID_NODES, max_iters=max_iters)
+    state, report = solve(params, f_example, h_example, cfg)
+    assert report.converged == (max_iters == 200)
+    assert len(report.history) == report.iters <= max_iters
+    assert np.array_equal(state.nodes, solver_nodes(_TWO_GRID_NODES, params))
+    w = apply_operator(params, h_example, state.u)
+    assert w.values.tobytes() == state.v.values.tobytes()
+    assert w.derivs.tobytes() == state.v.derivs.tobytes()
+
+
+def test_two_grid_solve_builds_one_operator_per_grid(params, f_example, h_example,
+                                                     monkeypatch, caplog):
+    calls = _count_calls(monkeypatch, integral_op, "panel_points")
+    with caplog.at_level("DEBUG", logger="tripoint.solver"):
+        _, report = solve(params, f_example, h_example, SolveConfig(nodes=_TWO_GRID_NODES))
+    assert report.converged
+    assert len(calls) == 2
+    assert any("257 nodes" in r.getMessage() for r in caplog.records)
+
+
+def test_provided_initial_state_runs_no_coarse_grid(params, f_example, h_example, monkeypatch):
+    nodes = solver_nodes(_TWO_GRID_NODES, params)
+    init = CoupledState(GridFunction.zeros(nodes), GridFunction.zeros(nodes))
+    calls = _count_calls(monkeypatch, integral_op, "panel_points")
+    _, report = solve(params, f_example, h_example,
+                      SolveConfig(nodes=_TWO_GRID_NODES, initial=init))
+    assert report.converged
+    assert len(calls) == 1
+
+
+def test_two_grid_solve_makes_two_operator_calls_per_sweep(params, f_example, h_example,
+                                                           monkeypatch):
+    calls = _count_calls(monkeypatch, solver_module, "apply_operator")
+    _, report = solve(params, f_example, h_example, SolveConfig(nodes=_TWO_GRID_NODES))
+    assert report.converged
+    assert len(calls) == 2 * report.iters
