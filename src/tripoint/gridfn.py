@@ -70,25 +70,40 @@ def _hermite_basis(x) -> tuple[tuple, tuple]:
     )
 
 
+def _sampler(nodes: np.ndarray, t):
+    """The cubic Hermite interpolant on ``nodes`` at the points t, for any node data.
+
+    Checks t, finds each point's panel and weighs its Hermite basis once.
+    The returned ``apply(values, derivs)`` gives the (value, derivative)
+    arrays, shaped like t, of the interpolant of one function's node data.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    _check_unit(t_arr, "t")
+    i = np.clip(np.searchsorted(nodes, t_arr, side="right"), 1, nodes.size - 1)
+    i0 = i - 1
+    h = nodes[i] - nodes[i0]
+    (b0, b1, b2, b3), (s0, s1, s2, s3) = _hermite_basis((t_arr - nodes[i0]) / h)
+    b1, b3, s0, s2 = b1 * h, b3 * h, s0 / h, s2 / h
+
+    def apply(values: np.ndarray, derivs: np.ndarray):
+        v0, d0, v1, d1 = values[i0], derivs[i0], values[i], derivs[i]
+        value, deriv = b0 * v0, s0 * v0
+        for bk, sk, x in ((b1, s1, d0), (b2, s2, v1), (b3, s3, d1)):
+            value += bk * x
+            deriv += sk * x
+        return value, deriv
+
+    return apply
+
+
 def interpolate(g: GridFunction, t):
     """Evaluate (value, derivative) of the cubic Hermite interpolant at t.
 
     t may be a scalar or an array inside [0, 1]; node points return the
     stored data exactly.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    _check_unit(t_arr, "t")
-    nodes, vals, ders = g.nodes, g.values, g.derivs
-    i = np.clip(np.searchsorted(nodes, t_arr, side="right"), 1, nodes.size - 1)
-    i0 = i - 1
-    h = nodes[i] - nodes[i0]
-    (b0, b1, b2, b3), (s0, s1, s2, s3) = _hermite_basis((t_arr - nodes[i0]) / h)
-    value = b0 * vals[i0] + b1 * h * ders[i0] + b2 * vals[i] + b3 * h * ders[i]
-    deriv = s0 / h * vals[i0] + s1 * ders[i0] + s2 / h * vals[i] + s3 * ders[i]
-    if scalar:
-        return float(value), float(deriv)
-    return value, deriv
+    value, deriv = _sampler(g.nodes, t)(g.values, g.derivs)
+    return (float(value), float(deriv)) if np.ndim(t) == 0 else (value, deriv)
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:

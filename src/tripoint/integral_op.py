@@ -13,15 +13,16 @@ of the cumulative source moments
 
     P_k(x) = integral_0^x s^k src(...) ds,   k = 0, 1, 2,
 
-taken at the nodes.  The operator requires the node set to contain eta, as
-:func:`~tripoint.gridfn.solver_nodes` guarantees; then every seam is a node,
-every quadrature panel is a whole node interval, and each node costs O(1)
-arithmetic once the source has been evaluated at the Gauss points.  The s^0,
-s^1, s^2 coefficients of the branches come from :mod:`tripoint.kernel`; this
-module only knows which branch covers which interval.  At t = 0 branches 2
-and 4 vanish and branch 1 spans [0, 0], so outputs vanish (value and
-derivative) exactly there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise
-makes the three-point derivative condition hold to rounding for any source.
+taken at t, eta and 1.  The operator requires the node set to contain eta,
+as :func:`~tripoint.gridfn.solver_nodes` guarantees; then every seam is a
+node, every quadrature panel is a whole node interval, and each node costs
+O(1) arithmetic once the source has been evaluated at the Gauss points.  The
+weights are quadratics in t read off the kernel's table of branch
+coefficients (:func:`~tripoint.kernel._coefficient_table`); this module only
+knows which branch covers which interval.  At t = 0 branches 2 and 4 vanish
+and branch 1 spans [0, 0], so outputs vanish (value and derivative) exactly
+there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise makes the
+three-point derivative condition hold to rounding for any source.
 
 Each panel carries ``_QUAD_POINTS`` = 4 Gauss points, the lowest order
 exact for a degree-7 panel integrand: ``s^k * src`` (k <= 2) for a source
@@ -29,22 +30,12 @@ linear in (y, y') with constant coefficients has degree 5 on the cubic
 Hermite state and 7 on a quintic one.  For other sources the Hermite state
 sets a solve's error; orders 3 and 8 give the same error (README table).
 
-The discretisation (panels, Gauss points, moment weights) depends only on
-the parameters and the node set, so a solve builds one
-:class:`_MomentOperator` and reuses it: a half-sweep is one call
-``op(src, values, derivs)`` from the state's node data to the output's,
-under one floating-point guard, and :func:`apply_operator` wraps it for
-grid functions.  The Gauss points sit at the same reference coordinates in
-every panel, so sampling the state's cubic Hermite interpolant is a product
-of the per-panel node data with a tabulated q x 4 basis
-(:func:`~tripoint.gridfn._hermite_basis`).
-
-The operator is built for the sources it will integrate (a solve's f and
-h).  It holds one block with the Gauss points and weights, the state
-samples, the moment sums, the moment weights at every node and the sources'
-:class:`~tripoint.expr.Workspace` rows, so a warm half-sweep allocates only
-node-sized arrays.  The t-only parts of each source, such as ``t^2+1``, are
-evaluated at its first half-sweep and kept for the rest of the solve.
+A solve builds one :class:`_MomentOperator` for its parameters, node set and
+sources, and a half-sweep is one call ``op(src, values, derivs)`` from the
+state's node data to the output's, under one floating-point guard;
+:func:`apply_operator` wraps it for grid functions.  A warm half-sweep
+allocates only node-sized arrays, and the t-only parts of each source, such
+as ``t^2+1``, are evaluated at its first half-sweep and kept for the solve.
 """
 from __future__ import annotations
 
@@ -58,7 +49,7 @@ import numpy as np
 from .expr import EvalError, Expr, Workspace
 # interpolate is not called here; perfbench/tracing.py wraps it by this name
 from .gridfn import GridFunction, _hermite_basis, interpolate  # noqa: F401
-from .kernel import ProblemParams, _branch_coefficients
+from .kernel import ProblemParams, _coefficient_table
 
 __all__ = ["CoupledState", "apply_operator"]
 
@@ -71,20 +62,26 @@ _QUAD_POINTS = 4
 
 @lru_cache(maxsize=None)
 def _leggauss(q: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(q)
+    # read-only: every operator shares these arrays through the cache
+    rule = np.polynomial.legendre.leggauss(q)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def panel_points(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and weights for the panels defined by ``breaks``.
 
-    Returns arrays of shape (panels, q).
+    Returns arrays of shape (panels, q), the transposes of the (q, panels)
+    arrays they are computed in, which is how :class:`_MomentOperator`
+    stores them.
     """
     gx, gw = _leggauss(q)
     a = np.asarray(breaks[:-1], dtype=float)
     b = np.asarray(breaks[1:], dtype=float)
-    half = (b - a)[:, None] / 2.0
-    mid = (a + b)[:, None] / 2.0
-    return mid + half * gx[None, :], half * gw[None, :]
+    half = (b - a) / 2.0
+    mid = (a + b) / 2.0
+    return (mid + gx[:, None] * half).T, (gw[:, None] * half).T
 
 
 @dataclass(frozen=True)
@@ -107,25 +104,25 @@ class _MomentOperator:
     """Cumulative-moment evaluation of the kernel integrals at the nodes.
 
     Built once per parameter pair and node set, which must contain eta, with
-    ``_QUAD_POINTS`` Gauss points per panel.  Each call is then one half-sweep
-    for a state on that node set.  Quadrature arrays are stored as
-    (q, panels), so the per-panel sums run over contiguous rows.  The panels
-    are the node intervals, and the Hermite basis at the Gauss points is
-    tabulated as two q x 4 matrices: one weighs (v_j, h_j d_j, v_{j+1},
-    h_j d_{j+1}) into values, the other (v_j / h_j, d_j, v_{j+1} / h_j,
-    d_{j+1}) into slopes, with h_j the width of panel j.
+    ``_QUAD_POINTS`` Gauss points per panel; each call is then one half-sweep
+    for a state on that node set.  The panels are the node intervals, and
+    quadrature arrays are stored as (q, panels), so the per-panel sums run
+    over contiguous rows.  The Hermite basis at the Gauss points is tabulated
+    as two q x 4 matrices: one weighs (v_j, h_j d_j, v_{j+1}, h_j d_{j+1})
+    into values, the other (v_j / h_j, d_j, v_{j+1} / h_j, d_{j+1}) into
+    slopes, with h_j the width of panel j.
 
-    Everything a half-sweep needs beyond the state and the source is built
-    here once, in one block: the sampled values and slopes, the 4 x panels
-    node-data stack, the cumulative moments, and the weights of ``P_k(t)``,
+    One block holds everything a half-sweep needs beyond the state and the
+    source: the samples, the node-data stack, the cumulative moments, the
+    sources' workspace rows (:attr:`work`) and the weights of ``P_k(t)``,
     ``P_k(eta)`` and ``P_k(1)`` in G and dG/dt at every node (2 x 3 x 3 x
-    nodes), regrouped from the kernel's branch coefficients.  A node ``t``
-    integrates branch 1 over ``[0, min(t, eta)]``, branch 2 (``t <= eta``) or
-    branch 3 between ``t`` and ``eta``, and branch 4 over ``[max(t, eta), 1]``,
-    so the integration is one contraction of the moments with the weights.
-    Only ``sources`` are evaluated, through :attr:`work`, an expression
-    workspace at the quadrature points with its rows in the same block.  The
-    arrays :meth:`sample` returns are overwritten by the next half-sweep.
+    nodes).  A node ``t`` integrates branch 1 over ``[0, min(t, eta)]``,
+    branch 2 (``t <= eta``) or 3 between ``t`` and ``eta``, and branch 4 over
+    ``[max(t, eta), 1]``.  So with the branches' coefficient tables ``c1..c4``
+    the weights are ``c1 - c2``, ``c2 - c4``, ``c4`` up to eta (eta
+    included) and ``c3 - c4``, ``c1 - c3``, ``c4`` above, each evaluated
+    over ``[1, t, t^2]`` by one matmul per side.  The arrays :meth:`sample`
+    returns are overwritten by the next half-sweep.
     """
 
     def __init__(self, p: ProblemParams, nodes: np.ndarray, sources: tuple[Expr, ...] = ()):
@@ -141,12 +138,9 @@ class _MomentOperator:
         # nodes) and the source registers
         shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (2, 3, 3, nodes.size),
                                  (n_rows, q * m)]
-        block = np.empty(sum(int(np.prod(sh)) for sh in shapes))
-        views, at = [], 0
-        for sh in shapes:
-            size = int(np.prod(sh))
-            views.append(block[at : at + size].reshape(sh))
-            at += size
+        ends = np.cumsum([int(np.prod(sh)) for sh in shapes])
+        block = np.empty(ends[-1])
+        views = [block[end - np.prod(sh) : end].reshape(sh) for sh, end in zip(shapes, ends)]
         (self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums,
          self._weights, rows) = views
         self.s.T[:], self.w.T[:] = panel_points(nodes, q)
@@ -159,17 +153,14 @@ class _MomentOperator:
         self.basis = np.column_stack(values)
         self.slope_basis = np.column_stack(slopes)
 
-        # weights of P_k(t), P_k(eta) and P_k(1): where(t <= eta, c1 - c2,
-        # c3 - c4), where(t <= eta, c2 - c4, c1 - c3) and c4, written in
-        # place one kernel at a time (G, then dG/dt)
-        hi = nodes > p.eta
-        for (w_t, w_eta, w_1), dt in zip(self._weights, (False, True)):
-            c1, c2, c3, c4 = _branch_coefficients(p, nodes, dt)
-            np.subtract(c1, c2, out=w_t)
-            np.subtract(c3, c4, out=w_t, where=hi)
-            np.subtract(c2, c4, out=w_eta)
-            np.subtract(c1, c3, out=w_eta, where=hi)
-            w_1[:] = c4
+        # (kernel, moment point, power of s, power of t) rows of the weights
+        c1, c2, c3, c4 = np.stack([_coefficient_table(p, dt) for dt in (False, True)], axis=1)
+        powers = np.stack((np.ones_like(nodes), nodes, nodes * nodes))
+        weights, split = self._weights.reshape(18, -1), self.eta_pos + 1
+        for cols, table in ((slice(split), (c1 - c2, c2 - c4, c4)),
+                            (slice(split, None), (c3 - c4, c1 - c3, c4))):
+            coeffs = np.stack(table, axis=1).reshape(18, 3)
+            np.matmul(coeffs, powers[:, cols], out=weights[:, cols])
 
     def sample(self, v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Value and slope at the quadrature points of the interpolant of node data (v, d)."""

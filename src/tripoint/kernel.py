@@ -127,23 +127,24 @@ def _green_dt_terms(p: ProblemParams, t, s) -> tuple[tuple, float]:
     return (b1, rise, sden + t * (p.alpha * p.eta - s), t * (1 - s)), den
 
 
-def _branch_coefficients(p: ProblemParams, t, dt: bool = False) -> np.ndarray:
-    """The s^0, s^1, s^2 coefficients of each branch of G (or dG/dt) at t.
+#: inverse of the Vandermonde matrix of the points 0, 1/2, 1: it maps a
+#: quadratic's values there to its coefficients of x^0, x^1, x^2
+_LATTICE_FIT = np.array([[1.0, 0.0, 0.0], [-3.0, 4.0, -1.0], [2.0, -4.0, 2.0]])
+#: the lattice {0, 1/2, 1}^2 as s and t grids, in extended precision where the
+#: platform has it, so that the table comes out rounded once
+_LATTICE_S, _LATTICE_T = np.meshgrid(*[np.array([0.0, 0.5, 1.0], dtype=np.longdouble)] * 2,
+                                     indexing="ij")
 
-    Returns an array of shape ``(4, 3) + t.shape``: branch, power of s.
-    Each branch is a quadratic in s, so its values a, b, e at s = 0, 1/2, 1
-    give the coefficients a, 4b - 3a - e and 2(a + e) - 4b.  The arithmetic
-    runs on t-sized arrays, so no temporary larger than t is built.
+
+def _coefficient_table(p: ProblemParams, dt: bool = False) -> np.ndarray:
+    """The coefficients of the four branches of G (or dG/dt) as a 4 x 3 x 3 table.
+
+    ``C[b, k, j]`` is the coefficient of ``s^k t^j`` in branch b, so branch b
+    is ``sum C[b, k, j] s^k t^j``.  Each branch has degree <= 2 in s and in t,
+    so its values on the lattice ``{0, 1/2, 1}^2`` fix the table.
     """
-    t = np.asarray(t, dtype=float)
-    terms = _green_dt_terms if dt else _green_terms
-    out = np.empty((4, 3) + t.shape)
-    (v0, den), (vh, _), (v1, _) = (terms(p, t, s) for s in (0.0, 0.5, 1.0))
-    for c, a, b, e in zip(out, v0, vh, v1):
-        c[0] = a / den
-        c[1] = (4 * b - 3 * a - e) / den
-        c[2] = (2 * (a + e) - 4 * b) / den
-    return out
+    branches, den = (_green_dt_terms if dt else _green_terms)(p, _LATTICE_T, _LATTICE_S)
+    return (_LATTICE_FIT @ np.array(branches) @ _LATTICE_FIT.T / den).astype(float)
 
 
 def _kernel(p: ProblemParams, t, s, terms):

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import verify
 from .expr import EvalError, Expr, Workspace
-from .gridfn import GridFunction, interpolate, solver_nodes
+from .gridfn import GridFunction, _sampler, interpolate, solver_nodes
 from .integral_op import CoupledState, _MomentOperator, apply_operator
 from .kernel import ProblemParams
 
@@ -156,9 +156,9 @@ def _initial_state(init: Union[str, float, CoupledState], nodes: np.ndarray) -> 
         if np.array_equal(init.nodes, nodes):
             return init
         # resample a state given on a different node set
-        uv, ud = interpolate(init.u, nodes)
-        vv, vd = interpolate(init.v, nodes)
-        return CoupledState(GridFunction(nodes, uv, ud), GridFunction(nodes, vv, vd))
+        sample = _sampler(init.nodes, nodes)
+        return CoupledState(*(GridFunction(nodes, *sample(g.values, g.derivs))
+                              for g in (init.u, init.v)))
     if init == "zero":
         return CoupledState(GridFunction.zeros(nodes), GridFunction.zeros(nodes))
     c = float(init)
@@ -277,17 +277,19 @@ def residual(
     """Max defect of -w''' = src over a dense interior grid, for both halves.
 
     Each half's Hermite interpolant is sampled once on a uniform 1001-point
-    grid.  The third derivative is a fourth-order finite difference of those
-    samples, and the source reads the other half's samples at the interior
-    points: 3 points are dropped at each end where the centered stencil does
-    not fit.  Both sources evaluate in one workspace at those points.
+    grid, by one sampler built for both.  The third derivative is a
+    fourth-order finite difference of those samples, and the source reads
+    the other half's samples at the interior points: 3 points are dropped at
+    each end where the centered stencil does not fit.  Both sources evaluate
+    in one workspace at those points.
     """
     tg = np.linspace(0.0, 1.0, RESIDUAL_GRID)
     spacing = tg[1] - tg[0]
     inner = slice(RESIDUAL_SKIP, -RESIDUAL_SKIP)
     t_in = tg[inner]
     work = Workspace(t_in, (f, h))
-    (uv, ud), (vv, vd) = interpolate(state.u, tg), interpolate(state.v, tg)
+    sample = _sampler(state.nodes, tg)
+    (uv, ud), (vv, vd) = (sample(g.values, g.derivs) for g in (state.u, state.v))
     out = []
     for gv, ov, od, src in ((uv, vv, vd, f), (vv, uv, ud, h)):
         d3 = _fd3(gv, spacing)

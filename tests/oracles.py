@@ -35,8 +35,18 @@ pointwise; it shares only ``panel_points`` with the moment operator.
 ``solve`` ran before its sweeps were secant-accelerated, loop for loop.
 
 :func:`residual_reference` is the finite-difference residual as it was before
-each half was sampled only once: four ``interpolate`` calls, the interior
-points sampled on their own.
+each half was sampled only once: four :func:`interpolate_reference` calls,
+the interior points sampled on their own.
+
+:func:`interpolate_reference` is ``gridfn.interpolate`` as it was before the
+Hermite sampler was split from it: a ``searchsorted``, the panel widths and
+the basis per call, in the same operations.  :func:`panel_points_reference`
+is ``panel_points`` as it was computed in ``(panels, q)`` order.
+
+:func:`moment_weights` is the operator's moment weights as they were built
+before the kernel had a coefficient table: each branch refitted in s at
+every node from its values at ``s = 0, 1/2, 1``, then regrouped above eta by
+masked subtraction.
 """
 from __future__ import annotations
 
@@ -46,9 +56,10 @@ from fractions import Fraction
 import numpy as np
 
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
-from tripoint.gridfn import GridFunction, interpolate, solver_nodes
+from tripoint.gridfn import GridFunction, _hermite_basis, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
-from tripoint.kernel import ProblemParams, _green_dt_terms, _green_terms, _prepare, green, green_dt
+from tripoint.kernel import (ProblemParams, _check_unit, _green_dt_terms, _green_terms, _prepare,
+                             green, green_dt)
 from tripoint.solver import RESIDUAL_GRID, RESIDUAL_SKIP, SolveConfig, SolveError, _fd3, _initial_state
 
 
@@ -307,6 +318,60 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
     return CoupledState(u, v), converged, history
 
 
+def interpolate_reference(g, t):
+    """(value, derivative) of g's cubic Hermite interpolant at t, one call at a time."""
+    t_arr = np.asarray(t, dtype=float)
+    scalar = t_arr.ndim == 0
+    _check_unit(t_arr, "t")
+    nodes, vals, ders = g.nodes, g.values, g.derivs
+    i = np.clip(np.searchsorted(nodes, t_arr, side="right"), 1, nodes.size - 1)
+    i0 = i - 1
+    h = nodes[i] - nodes[i0]
+    (b0, b1, b2, b3), (s0, s1, s2, s3) = _hermite_basis((t_arr - nodes[i0]) / h)
+    value = b0 * vals[i0] + b1 * h * ders[i0] + b2 * vals[i] + b3 * h * ders[i]
+    deriv = s0 / h * vals[i0] + s1 * ders[i0] + s2 / h * vals[i] + s3 * ders[i]
+    if scalar:
+        return float(value), float(deriv)
+    return value, deriv
+
+
+def panel_points_reference(breaks, q):
+    """Gauss points and weights of shape (panels, q) for the panels of ``breaks``."""
+    gx, gw = np.polynomial.legendre.leggauss(q)
+    a = np.asarray(breaks[:-1], dtype=float)
+    b = np.asarray(breaks[1:], dtype=float)
+    half = (b - a)[:, None] / 2.0
+    mid = (a + b)[:, None] / 2.0
+    return mid + half * gx[None, :], half * gw[None, :]
+
+
+def _refit_coefficients(p, t, dt):
+    # s^0, s^1, s^2 coefficients (4, 3, nodes) from the values at s = 0, 1/2, 1
+    terms = _green_dt_terms if dt else _green_terms
+    out = np.empty((4, 3) + t.shape)
+    (v0, den), (vh, _), (v1, _) = (terms(p, t, s) for s in (0.0, 0.5, 1.0))
+    for c, a, b, e in zip(out, v0, vh, v1):
+        c[0] = a / den
+        c[1] = (4 * b - 3 * a - e) / den
+        c[2] = (2 * (a + e) - 4 * b) / den
+    return out
+
+
+def moment_weights(p, nodes):
+    """Weights of P_k(t), P_k(eta), P_k(1) in G and dG/dt: shape (2, 3, 3, nodes)."""
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.empty((2, 3, 3, nodes.size))
+    hi = nodes > p.eta
+    for (w_t, w_eta, w_1), dt in zip(weights, (False, True)):
+        c1, c2, c3, c4 = _refit_coefficients(p, nodes, dt)
+        np.subtract(c1, c2, out=w_t)
+        np.subtract(c3, c4, out=w_t, where=hi)
+        np.subtract(c2, c4, out=w_eta)
+        np.subtract(c1, c3, out=w_eta, where=hi)
+        w_1[:] = c4
+    return weights
+
+
 def residual_reference(p, state, f, h):
     """``solver.residual`` with the interior points interpolated separately."""
     tg = np.linspace(0.0, 1.0, RESIDUAL_GRID)
@@ -314,8 +379,8 @@ def residual_reference(p, state, f, h):
     inner = tg[RESIDUAL_SKIP:-RESIDUAL_SKIP]
     out = []
     for g, other, src in ((state.u, state.v, f), (state.v, state.u, h)):
-        gv, _ = interpolate(g, tg)
-        ov, od = interpolate(other, inner)
+        gv, _ = interpolate_reference(g, tg)
+        ov, od = interpolate_reference(other, inner)
         d3 = _fd3(gv, spacing)
         rhs = src.eval_array(inner, np.maximum(ov, 0.0), np.maximum(od, 0.0))
         out.append(float(np.max(np.abs(d3 + rhs))))

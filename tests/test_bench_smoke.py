@@ -2,17 +2,36 @@
 
 The tracer in ``perfbench/tracing.py`` wraps program attributes by name, so
 a rename in ``src/`` breaks the benchmark without failing any other test.
-These tests run the harness as a subprocess and check its verdict and its
-bookkeeping; they assert no timings.
+One fast test resolves those names in-process; the others run the harness
+as a subprocess and check its verdict and its bookkeeping.  They assert no
+timings.
 """
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
+
+
+def test_every_traced_name_resolves():
+    # run the tracer's module source, which wraps nothing until installed,
+    # and look up each (module, attribute path) it would wrap
+    source = ROOT / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("_perfbench_tracing")
+    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), tracing.__dict__)
+    missing = []
+    for module, attr_path, *_ in tracing.PATCHES:
+        owner = importlib.import_module(module)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr_path}")
+    assert not missing, f"perfbench/tracing.py wraps names the program lacks: {missing}"
 
 
 def test_traced_sweep_run_is_correct():

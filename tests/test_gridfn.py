@@ -11,7 +11,7 @@ from tripoint import (
 )
 from tripoint.gridfn import chebyshev_nodes
 
-from oracles import c1_norm, lincomb
+from oracles import c1_norm, interpolate_reference, lincomb
 
 
 def _uniform(n):
@@ -75,6 +75,20 @@ def test_interpolation_sin_cos_64_nodes():
     v, d = interpolate(g, 0.3)
     assert v == pytest.approx(np.sin(0.3), abs=1e-8)
     assert d == pytest.approx(np.cos(0.3), abs=1e-8)
+
+
+def test_interpolation_keeps_the_reference_bits(params):
+    nodes = solver_nodes(33, params)
+    rng = np.random.default_rng(4)
+    g = GridFunction(nodes, rng.normal(size=nodes.size), rng.normal(size=nodes.size))
+    for t in (0.0, 1.0, params.eta, 0.3, np.float64(0.7)):
+        got, ref = interpolate(g, t), interpolate_reference(g, t)
+        assert isinstance(got[0], float) and isinstance(got[1], float)
+        assert [x.hex() for x in got] == [x.hex() for x in ref]
+    for t in (nodes, np.array([0.0, 1.0]), rng.uniform(size=257), rng.uniform(size=(3, 5))):
+        for got, ref in zip(interpolate(g, t), interpolate_reference(g, t)):
+            assert got.shape == np.shape(t)
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_interpolation_domain_error():

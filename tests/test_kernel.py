@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,11 +141,11 @@ def test_branch_continuity_random_params(p):
     st.floats(0.0, 1.0),
 )
 def test_branch_coefficients_reproduce_the_branches(p, t, s):
-    from tripoint.kernel import _branch_coefficients
+    from tripoint.kernel import _coefficient_table
 
     t = np.array(t)
     # branch, kernel, power of s, t
-    coef = np.stack([_branch_coefficients(p, t, dt) for dt in (False, True)], axis=1)
+    coef = np.stack([_coefficient_table(p, dt) @ [t**0, t, t**2] for dt in (False, True)], axis=1)
     assert coef.shape == (4, 2, 3, t.size)
     powers = s ** np.arange(3.0)
     for j, branches in enumerate((green_branches, green_dt_branches)):
@@ -241,3 +242,36 @@ def test_derivative_lower_bound_fails_at_s_zero(p):
     t_mid = (p.eta / p.alpha + p.eta) / 2
     assert green_dt(p, t_mid, 0.0) == 0.0
     assert p.k1 * g1_bound(p, 0.0) > 0.1 * p.k1
+
+
+def _docstring_branches(a, e):
+    """The module docstring's four branches of G and of dG/dt, exact in (a, e)."""
+    t, s = sympy.symbols("t s")
+    gap = 1 - a * e
+    g = [(2 * t * s - s**2) * gap + t**2 * s * (a - 1), t**2 * gap + t**2 * s * (a - 1),
+         (2 * t * s - s**2) * gap + t**2 * (a * e - s), t**2 * (1 - s)]
+    dg = [s * gap + t * s * (a - 1), t * gap + t * s * (a - 1),
+          s * gap + t * (a * e - s), t * (1 - s)]
+    return (s, t), [b / (2 * gap) for b in g], [b / gap for b in dg]
+
+
+@pytest.mark.parametrize("alpha, eta", [("3/2", "1/2"), ("5/2", "3/10"), ("6/5", "7/10")])
+def test_coefficient_table_matches_the_paper_formulas(alpha, eta):
+    from tripoint.kernel import _coefficient_table
+
+    a, e = sympy.Rational(alpha), sympy.Rational(eta)
+    (s, t), g, dg = _docstring_branches(a, e)
+    p = ProblemParams(float(a), float(e))
+    tables = []
+    for dt, branches in ((False, g), (True, dg)):
+        exact = np.array([[[float(sympy.Poly(b, s, t).coeff_monomial(s**k * t**j))
+                            for j in range(3)] for k in range(3)] for b in branches])
+        tables.append(_coefficient_table(p, dt))
+        assert tables[-1].shape == (4, 3, 3)
+        # a few ulps of the table's scale
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(tables[-1] - exact)) <= 4 * np.finfo(float).eps * scale
+    # dG/dt is G differentiated in t: C'[b, k, j] = (j + 1) C[b, k, j + 1]
+    table, table_dt = tables
+    assert np.all(table_dt[:, :, 2] == 0.0)
+    assert np.allclose(table_dt[:, :, :2], table[:, :, 1:] * [1.0, 2.0], rtol=0, atol=1e-14 * scale)

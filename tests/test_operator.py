@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripoint import (
     CoupledState,
@@ -16,7 +18,9 @@ from tripoint import (
     solver_nodes,
 )
 
-from oracles import QuadratureRule, integrate_kernel, poly_bvp_solution
+from oracles import (QuadratureRule, integrate_kernel, moment_weights, panel_points_reference,
+                     poly_bvp_solution)
+from test_kernel import admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +317,47 @@ def test_default_order_is_exact_up_to_degree_seven(params, src, degree, monkeypa
     miss = max(np.max(np.abs(w3.values - exact.values)), np.max(np.abs(w3.derivs - exact.derivs)))
     assert (miss <= 1e-14) == (degree <= 5)
 
+
+def _assert_weights_match_the_refit(p, nodes):
+    from tripoint.integral_op import _MomentOperator
+
+    ref = moment_weights(p, nodes)
+    got = _MomentOperator(p, nodes)._weights
+    for kernel in range(2):  # relative to the largest weight of G, then of dG/dt
+        scale = np.max(np.abs(ref[kernel]))
+        assert np.max(np.abs(got[kernel] - ref[kernel])) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [129, 8193])
+def test_moment_weights_match_the_three_point_refit(params, n):
+    _assert_weights_match_the_refit(params, solver_nodes(n, params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_params(), st.integers(1, 3))
+def test_moment_weights_at_and_next_to_eta(p, ulps):
+    # the t == eta column takes the t <= eta regrouping; its neighbours, a few
+    # ulps away on either side, take one regrouping each
+    below, above = p.eta, p.eta
+    for _ in range(ulps):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+    nodes = np.array([0.0, p.eta / 2, below, p.eta, above, (1 + p.eta) / 2, 1.0])
+    _assert_weights_match_the_refit(p, nodes)
+
+
+@pytest.mark.parametrize("n", [9, 129])
+def test_panel_points_keep_their_shape_and_bits(params, n):
+    from tripoint.integral_op import panel_points
+
+    breaks = solver_nodes(n, params)
+    for got, ref in zip(panel_points(breaks, 4), panel_points_reference(breaks, 4)):
+        assert got.shape == ref.shape == (breaks.size - 1, 4)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_cached_gauss_rule_is_read_only():
+    from tripoint.integral_op import _QUAD_POINTS, _leggauss
+
+    for arr in _leggauss(_QUAD_POINTS):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -19,7 +19,7 @@ from tripoint import (
     solve,
     solver_nodes,
 )
-from oracles import c1_norm, lincomb, picard_solve, residual_reference
+from oracles import c1_norm, interpolate_reference, lincomb, picard_solve, residual_reference
 
 # nonnegative profiles phi(y, yp) for y, yp >= 0; the first group is positive
 # at the zero state, so a source led by one cannot stop at the zero solution
@@ -99,6 +99,16 @@ def test_provided_initial_state_resampled(params):
     init = CoupledState(GridFunction.zeros(coarse), GridFunction.zeros(coarse))
     state, report = solve(params, parse("1"), parse("1"), SolveConfig(nodes=33, initial=init))
     assert report.converged
+
+
+def test_resampled_initial_state_keeps_the_reference_bits(params, example_solution):
+    state, _ = example_solution
+    nodes = solver_nodes(257, params)
+    got = solver_module._initial_state(state, nodes)
+    for g, ref in ((got.u, state.u), (got.v, state.v)):
+        values, derivs = interpolate_reference(ref, nodes)
+        assert g.values.tobytes() == values.tobytes()
+        assert g.derivs.tobytes() == derivs.tobytes()
 
 
 def test_example_system_converges(params, example_solution):
