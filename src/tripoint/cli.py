@@ -7,8 +7,8 @@ Subcommands::
     tripoint scan         growth-ratio diagnostic for the source expressions
 
 Exit codes: 0 success, 1 input error or failed certification, 2 solver did
-not converge.  Numeric text output uses 17 significant digits so files
-round-trip to the same doubles.
+not converge or an argparse usage error.  Numeric text output uses 17
+significant digits so files round-trip to the same doubles.
 """
 from __future__ import annotations
 
@@ -88,29 +88,6 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _setting(s: dict, key: str, kind: type) -> int | float:
-    """Solver setting ``key`` as ``kind``: never truncated, never read from a boolean."""
-    value = s[key]
-    try:
-        if isinstance(value, bool) or not (kind is float or float(value).is_integer()):
-            raise ValueError
-        return kind(float(value))
-    except (TypeError, ValueError, OverflowError):
-        kind_name = "an integer" if kind is int else "a number"
-        raise InputError(f"solver.{key} must be {kind_name}, got {value!r}") from None
-
-
-def _parse_initial(raw) -> str | float:
-    if raw == "zero":
-        return "zero"
-    try:
-        if isinstance(raw, bool):
-            raise ValueError
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"initial must be 'zero' or a number, got {raw!r}") from None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -137,14 +114,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     p = ProblemParams(_require(cfg, "alpha"), _require(cfg, "eta"))
     f = parse(str(_require(cfg, "f")))
     h = parse(str(_require(cfg, "h")))
-    s = cfg["solver"]
-    solve_cfg = SolveConfig(
-        max_iters=_setting(s, "max_iters", int),
-        tol=_setting(s, "tol", float),
-        damping=_setting(s, "damping", float),
-        nodes=_setting(s, "nodes", int),
-        initial=_parse_initial(s["initial"]),
-    )
+    solve_cfg = SolveConfig(**cfg["solver"])
+    try:
+        solve_cfg.validate()
+    except ValueError as err:
+        raise InputError(f"solver.{err}") from None
     state, report = solve(p, f, h, solve_cfg)
     print(
         f"converged: {str(report.converged).lower()}  iters: {report.iters}"
@@ -238,6 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def initial(text: str) -> str | float:
+        # typed like --tol; argparse reports "invalid initial value: ..."
+        return text if text == "zero" else float(text)
+
     def add_common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--f", help="source expression for the first equation")
@@ -251,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nodes", type=int)
     sp.add_argument("--tol", type=float)
     sp.add_argument("--max-iter", type=int, dest="max_iters")
-    sp.add_argument("--damping", type=float)
-    sp.add_argument("--initial")
+    sp.add_argument("--initial", type=initial)
     sp.add_argument("--out-csv")
     sp.add_argument("--dump-config", action="store_true", help="print the effective config and exit")
     sp.set_defaults(func=_cmd_solve)

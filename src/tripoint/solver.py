@@ -8,20 +8,21 @@ v's node data (values and derivatives, one 2n-vector)::
     u_k = T_f(x_k),   g_k = T_h(u_k),   r_k = g_k - x_k
 
 and mixes the next iterate by Anderson mixing of depth 1 (a secant step)
-with relaxation factor ``beta = damping``::
+with relaxation factor ``beta``::
 
     x_{k+1} = (1-beta) x_k + beta g_k - gamma (dx + beta dr)
     gamma   = (dr . r_k) / (dr . dr),   dx = x_k - x_{k-1},   dr = r_k - r_{k-1}
 
-With gamma = 0 this is plain damped substitution.  The secant correction is
-applied only after a sweep whose step fell, and skipped when dr = 0; on a
-diverging iteration an unguarded secant can steer towards the trivial zero
-solution.  The step of sweep k is the larger of the C^1-norm changes
-``|u_k - u_{k-1}|`` and ``|r_k|``, and the iteration stops when it drops to
-``tol``.  There is no general contraction guarantee, so a step-size increase
-drops the relaxation factor to 0.5 once and restarts the secant memory; if
-the iteration still fails to settle within ``max_iters`` sweeps the report
-comes back with ``converged=False`` rather than guessing.
+With gamma = 0 and beta = 1 this is plain substitution.  The secant
+correction is applied only after a sweep whose step fell, and skipped when
+dr = 0; on a diverging iteration an unguarded secant can steer towards the
+trivial zero solution.  The step of sweep k is the larger of the C^1-norm
+changes ``|u_k - u_{k-1}|`` and ``|r_k|``, and the iteration stops when it
+drops to ``tol``.  There is no general contraction guarantee, so beta starts
+at 1 and a step-size increase drops it to 0.5 once and restarts the secant
+memory; there is no ``damping`` setting.  If the iteration still fails to
+settle within ``max_iters`` sweeps the report comes back with
+``converged=False`` rather than guessing.
 
 A large solve, from 4097 nodes up (16 times the panels of the 257-node
 grid), starts on the coarse grid ``solver_nodes(257, p)`` from the
@@ -87,21 +88,21 @@ class SolveError(RuntimeError):
 
 @dataclass
 class SolveConfig:
-    """Settings of :func:`solve`, which :meth:`validate` checks as the CLI reads them.
+    """Settings of :func:`solve`; :meth:`validate` is their one rule, the CLI's too.
 
     ``max_iters`` (an integer >= 1) bounds the sweeps, which stop at a step of
-    ``tol`` (a number > 0); ``damping`` is the relaxation factor (a number in
-    (0, 1]); ``nodes`` (an integer >= 9) counts the Chebyshev nodes before the
-    cone window's ends are added; ``initial`` is ``"zero"``, a finite constant
-    or a :class:`CoupledState`.  An integral float is an integer; a boolean is
-    never a number.  From 4097 nodes up, a ``"zero"`` or constant initial
-    state is first iterated on a 257-node grid; ``max_iters`` bounds the
-    sweeps of both grids together, at most ``max_iters - 1`` of them coarse.
+    ``tol`` (a number > 0); ``nodes`` (an integer >= 9) counts the Chebyshev
+    nodes before the cone window's ends are added; ``initial`` is ``"zero"``,
+    a finite constant or a :class:`CoupledState`.  An integral float is an
+    integer; a boolean or a string is never a number.  From 4097 nodes up, a
+    ``"zero"`` or constant initial state is first iterated on a 257-node
+    grid; ``max_iters`` bounds the sweeps of both grids together, at most
+    ``max_iters - 1`` of them coarse.  The relaxation factor is no setting:
+    it starts at 1 and drops to 0.5 once, at the first step increase.
     """
 
     max_iters: int = 200
     tol: float = 1e-10
-    damping: float = 1.0
     nodes: int = 65
     initial: Union[str, float, CoupledState] = "zero"
 
@@ -113,17 +114,15 @@ class SolveConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        for name in ("tol", "damping"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not _is_real(self.tol):
+            raise ValueError(f"tol must be a number, got {self.tol!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         init = self.initial
         if not (init == "zero" if isinstance(init, str)
                 else isinstance(init, CoupledState) or _is_real(init)):
-            raise ValueError("initial must be 'zero', a constant, or a CoupledState")
+            raise ValueError(
+                f"initial must be 'zero' or a number (or a CoupledState), got {init!r}")
         if _is_real(init) and not np.isfinite(init):
             raise ValueError(f"initial must be finite, got {init}")
 
@@ -183,7 +182,7 @@ def _sweeps(
     """
     p, nodes = op.p, op.nodes
     n = nodes.size
-    beta = cfg.damping
+    beta = 1.0
     fell_back = False
     prev_step = np.inf
     x, u_prev = _node_data(state.v), _node_data(state.u)
@@ -200,7 +199,7 @@ def _sweeps(
         history.append(step)
         if step <= cfg.tol:
             return u, v, True
-        restart = step > prev_step and not fell_back and beta > 0.5
+        restart = step > prev_step and not fell_back
         if restart:
             logger.info("step norm increased at iteration %d; damping reduced to 0.5", it)
             beta, fell_back = 0.5, True

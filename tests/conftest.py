@@ -46,11 +46,7 @@ def example_solution_fine():
     p = ProblemParams(cfg["alpha"], cfg["eta"])
     f = parse(cfg["f"])
     h = parse(cfg["h"])
-    s = cfg["solver"]
-    solve_cfg = SolveConfig(
-        max_iters=s["max_iters"], tol=s["tol"], damping=s["damping"],
-        nodes=s["nodes"], initial=s["initial"],
-    )
+    solve_cfg = SolveConfig(**cfg["solver"])
     t0 = time.perf_counter()
     state, report = solve(p, f, h, solve_cfg)
     elapsed = time.perf_counter() - t0

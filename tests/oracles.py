@@ -295,7 +295,7 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
     state = _initial_state(cfg.initial, nodes)
     u, v = state.u, state.v
 
-    lam = cfg.damping
+    lam = 1.0
     fell_back = False
     history: list[float] = []
     prev_step = np.inf
@@ -311,7 +311,7 @@ def picard_solve(p, f, h, cfg=SolveConfig()):
         if step <= cfg.tol:
             converged = True
             break
-        if step > prev_step and not fell_back and lam > 0.5:
+        if step > prev_step and not fell_back:
             lam = 0.5
             fell_back = True
         prev_step = step

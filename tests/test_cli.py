@@ -126,11 +126,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_config_rejects_a_dropped_setting(tmp_path, capsys):
-    # the Gauss order is fixed; a config dumped when it was a setting fails loudly
-    cfg = _write_config(tmp_path, solver={"nodes": 17, "quad_points": 4})
+@pytest.mark.parametrize("key, value", [("quad_points", 4), ("damping", 1.0)])
+def test_config_rejects_a_dropped_setting(tmp_path, capsys, key, value):
+    # the Gauss order and the relaxation are fixed; a config dumped when they
+    # were settings fails loudly
+    cfg = _write_config(tmp_path, solver={"nodes": 17, key: value})
     assert main(["solve", "--config", str(cfg)]) == 1
-    assert "unknown config key solver.quad_points" in capsys.readouterr().err
+    assert f"unknown config key solver.{key}" in capsys.readouterr().err
+
+
+def test_bundled_example_config_names_every_setting(capsys):
+    # a key missing from the committed config would fall back to its default
+    path = CONFIG_DIR / "example.json"
+    assert main(["solve", "--config", str(path), "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_every_solver_setting_is_a_config_key_and_a_flag():
@@ -140,7 +149,7 @@ def test_every_solver_setting_is_a_config_key_and_a_flag():
 
 
 def test_config_settings_reach_the_solver(tmp_path, monkeypatch):
-    settings = {"max_iters": 7, "tol": 1e-6, "damping": 0.5, "nodes": 33, "initial": 0.25}
+    settings = {"max_iters": 7, "tol": 1e-6, "nodes": 33, "initial": 0.25}
     assert set(settings) == {f.name for f in dataclasses.fields(SolveConfig)}
     assert all(getattr(SolveConfig(), k) != v for k, v in settings.items())
     real_solve, seen = cli.solve, []
@@ -158,6 +167,7 @@ def test_config_settings_reach_the_solver(tmp_path, monkeypatch):
 @pytest.mark.parametrize("key, value", [
     ("nodes", 17.9), ("nodes", True), ("max_iters", True), ("max_iters", 5.5),
     ("quad_points", 8.5), ("quad_points", False), ("tol", True), ("damping", True),
+    ("nodes", "17"), ("tol", "1e-10"), ("initial", "0.25"),
 ])
 def test_config_rejects_truncated_or_boolean_settings(tmp_path, capsys, key, value):
     cfg = _write_config(tmp_path, solver={key: value})
@@ -166,13 +176,21 @@ def test_config_rejects_truncated_or_boolean_settings(tmp_path, capsys, key, val
     assert err.startswith("error:") and f"solver.{key}" in err
 
 
+def test_solve_types_the_initial_flag(capsys):
+    # --initial is "zero" or a float, a usage error otherwise, like --tol abc
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--initial", "garbage"])
+    assert exc.value.code == 2
+    assert "--initial" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("initial", ["nan", "inf", "-inf"])
 def test_solve_rejects_non_finite_initial(capsys, initial):
     code = main(["solve", "--alpha", "1.5", "--eta", "0.5", "--f", "0", "--h", "0",
                  "--nodes", "17", f"--initial={initial}"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: initial must be finite")
+    assert err.startswith("error: solver.initial must be finite")
 
 
 @pytest.mark.parametrize("initial", [True, False])
@@ -180,7 +198,7 @@ def test_config_rejects_boolean_initial(tmp_path, capsys, initial):
     cfg = _write_config(tmp_path, f="y", h="y", solver={"nodes": 17, "initial": initial})
     assert main(["solve", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: initial must be 'zero' or a number")
+    assert err.startswith("error: solver.initial must be 'zero' or a number")
 
 
 def test_solve_operator_overflow_is_an_evaluation_error(capsys):

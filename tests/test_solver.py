@@ -74,12 +74,21 @@ def test_constant_system_is_exact_after_one_sweep(params):
     assert report.bc_defect_v <= 1e-12
 
 
+def test_step_increase_halves_the_relaxation_once(params, f_example, h_example, caplog):
+    # the one relaxation left: beta starts at 1 and a step increase drops it
+    # to 0.5 for the rest of the solve; from 1.0 the example's step grows once
+    with caplog.at_level("INFO", logger="tripoint.solver"):
+        _, report = solve(params, f_example, h_example, SolveConfig(nodes=65, initial=1.0))
+    drops = [r.getMessage() for r in caplog.records if "damping reduced to 0.5" in r.getMessage()]
+    assert drops == ["step norm increased at iteration 2; damping reduced to 0.5"]
+    assert report.history[1] > report.history[0]
+    assert report.converged
+
+
 def test_config_validation(params):
     for bad in (
         SolveConfig(max_iters=0),
         SolveConfig(tol=0.0),
-        SolveConfig(damping=0.0),
-        SolveConfig(damping=1.5),
         SolveConfig(nodes=5),
         SolveConfig(initial="garbage"),
     ):
@@ -364,7 +373,7 @@ def test_config_rejects_non_integral_or_boolean_counts(params, field, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tol", True), ("tol", "1e-10"), ("damping", True), ("damping", None),
+    ("tol", True), ("tol", "1e-10"), ("tol", None), ("initial", "0.25"),
     ("initial", True), ("initial", False), ("initial", [1.0]), ("initial", None),
 ])
 def test_config_rejects_non_real_or_boolean_settings(params, f_example, h_example, field, value):
