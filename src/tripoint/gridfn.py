@@ -124,9 +124,10 @@ def solver_nodes(n: int, p: ProblemParams) -> np.ndarray:
     """
     x = chebyshev_nodes(n)
     for extra in (p.eta / p.alpha, p.eta):
-        i = int(np.argmin(np.abs(x - extra)))
+        k = int(x.searchsorted(extra))  # x[k - 1] < extra <= x[k]
+        i = k - 1 if extra - x[k - 1] <= x[k] - extra else k  # nearest, ties low
         if abs(x[i] - extra) <= 1e-12:
             x[i] = extra  # snap a rounding-level neighbour onto the exact point
         else:
-            x = np.sort(np.append(x, extra))
+            x = np.concatenate((x[:k], [extra], x[k:]))
     return x

@@ -24,13 +24,18 @@ and the t-derivative has the same branch structure with::
                                  s(1-alpha*eta) + t(alpha*eta - s)
                                  t(1-s)
 
-At t = 0 every s > 0 selects branch 2 or 4, which carry a factor t or t^2,
-and branch 1 covers only s = 0, where it vanishes; so G(0, s) = dG/dt(0, s)
-= 0: the left boundary conditions are built into the kernel.
+The four branches are one closed form, ``G = t^2 R(s) - (t-s)_+^2 / 2`` and
+``dG/dt = t R1(s) - (t-s)_+``, with R1 = 2R linear in s on each side of eta:
+``2(1-alpha*eta) R(s)`` is ``(1-alpha*eta) + s(alpha-1)`` for s <= eta and
+``1-s`` above.  :func:`green` and :func:`green_dt` read R and R1 off ``_coefficient_table``
+(the t^2 and t coefficients of branches 2 and 4), fitted from the branches as written once
+in ``_green_terms``/``_green_dt_terms``.  R(0) = 1/2, R1(0) = 1 and R(1) = R1(1) = 0, so G
+and dG/dt vanish exactly at t = 0 (the left boundary conditions), at s = 0 and on s = 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,7 +94,7 @@ class ProblemParams:
 
 
 def _check_unit(x: np.ndarray, name: str) -> None:
-    if x.size and (not np.all(np.isfinite(x)) or x.min() < 0.0 or x.max() > 1.0):
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
         raise ValueError(f"{name} must lie in [0, 1]")
 
 
@@ -136,53 +141,56 @@ _LATTICE_S, _LATTICE_T = np.meshgrid(*[np.array([0.0, 0.5, 1.0], dtype=np.longdo
                                      indexing="ij")
 
 
+@lru_cache(maxsize=64)
 def _coefficient_table(p: ProblemParams, dt: bool = False) -> np.ndarray:
     """The coefficients of the four branches of G (or dG/dt) as a 4 x 3 x 3 table.
 
     ``C[b, k, j]`` is the coefficient of ``s^k t^j`` in branch b, so branch b
     is ``sum C[b, k, j] s^k t^j``.  Each branch has degree <= 2 in s and in t,
-    so its values on the lattice ``{0, 1/2, 1}^2`` fix the table.
+    so its values on the lattice ``{0, 1/2, 1}^2`` fix the table.  Cached, so read-only.
     """
     branches, den = (_green_dt_terms if dt else _green_terms)(p, _LATTICE_T, _LATTICE_S)
-    return (_LATTICE_FIT @ np.array(branches) @ _LATTICE_FIT.T / den).astype(float)
+    table = (_LATTICE_FIT @ np.array(branches) @ _LATTICE_FIT.T / den).astype(float)
+    table.setflags(write=False)
+    return table
 
 
-def _kernel(p: ProblemParams, t, s, terms):
-    # where(s <= eta, where(s <= t, b1, b2), where(s <= t, b3, b4)), written
-    # into the branch temporaries: the first region in branch order that
-    # holds (t, s) wins, and at the seams adjacent branches agree
+def _closed_form(p: ProblemParams, t, s, dt: bool):
+    # t^2 R(s) (or t R1(s)) and the ramp (t - s)_+ on the broadcast grid; R above
+    # eta is expanded about s = 1, where it vanishes, to keep its relative accuracy
     t_arr, s_arr, scalar = _prepare(t, s)
-    (b1, b2, b3, b4), den = terms(p, t_arr, s_arr)
-    b2, b4 = np.asarray(b2), np.asarray(b4)  # scalar inputs give numpy scalars
-    lo = s_arr <= t_arr
-    np.copyto(b2, b1, where=lo)
-    np.copyto(b4, b3, where=lo)
-    np.copyto(b4, b2, where=s_arr <= p.eta)
-    b4 /= den
-    return float(b4) if scalar else b4
+    ramp = np.asarray(t_arr - s_arr)
+    np.maximum(ramp, 0.0, out=ramp)
+    (lo0, lo1), (hi0, hi1) = _coefficient_table(p, dt)[1::2, :2, 1 if dt else 2]
+    r = np.where(s_arr <= p.eta, lo0 + lo1 * s_arr, (hi0 + hi1) + hi1 * (s_arr - 1.0))
+    return np.asarray((t_arr if dt else t_arr**2) * r), ramp, scalar
 
 
 def green(p: ProblemParams, t, s):
-    """Green's function G(t, s) on the unit square.
+    """Green's function G(t, s) = t^2 R(s) - (t - s)_+^2 / 2 on the unit square.
 
     Accepts scalars or broadcastable arrays; raises ``ValueError`` if any
-    argument leaves [0, 1].  Nonnegative everywhere, zero at t = 0 and on
-    s = 1 for t <= s.  Broadcast inputs such as ``t[:, None]`` and
-    ``s[None, :]`` keep the t-only and s-only subterms at vector size; only
-    the terms that mix t and s are evaluated on the full grid.
+    argument leaves [0, 1].  Nonnegative everywhere, zero at t = 0, at s = 0
+    and on s = 1.  Broadcast inputs such as ``t[:, None]`` and ``s[None, :]``
+    keep ``t^2`` and ``R(s)`` at vector size; only the product and the ramp fill the grid.
     """
-    return _kernel(p, t, s, _green_terms)
+    out, ramp, scalar = _closed_form(p, t, s, False)
+    ramp *= ramp
+    ramp *= 0.5
+    out -= ramp
+    return float(out) if scalar else out
 
 
 def green_dt(p: ProblemParams, t, s):
-    """t-derivative of the Green's function on the unit square.
+    """t-derivative dG/dt(t, s) = t R1(s) - (t - s)_+ of the Green's function.
 
-    Continuous across the branch seams and nonnegative; zero at t = 0 and at
-    s = 1 for t <= s.  Away from the seams it matches a central finite
-    difference of :func:`green` in t to rounding (G is quadratic in t per
-    branch).  Broadcasts like :func:`green`.
+    Continuous across the seams and nonnegative; zero at t = 0, at s = 0 and
+    on s = 1.  Away from the seams it matches a central finite difference of
+    :func:`green` in t to rounding.  Broadcasts like :func:`green`.
     """
-    return _kernel(p, t, s, _green_dt_terms)
+    out, ramp, scalar = _closed_form(p, t, s, True)
+    out -= ramp
+    return float(out) if scalar else out
 
 
 def g0_bound(p: ProblemParams, s):

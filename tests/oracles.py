@@ -43,6 +43,10 @@ Hermite sampler was split from it: a ``searchsorted``, the panel widths and
 the basis per call, in the same operations.  :func:`panel_points_reference`
 is ``panel_points`` as it was computed in ``(panels, q)`` order.
 
+:func:`solver_nodes_reference` is ``gridfn.solver_nodes`` as it was before
+the extra points were placed by ``searchsorted``: an ``argmin`` over the
+distances and a sort per inserted point.
+
 :func:`moment_weights` is the operator's moment weights as they were built
 before the kernel had a coefficient table: each branch refitted in s at
 every node from its values at ``s = 0, 1/2, 1``, then regrouped above eta by
@@ -56,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
-from tripoint.gridfn import GridFunction, _hermite_basis, solver_nodes
+from tripoint.gridfn import GridFunction, _hermite_basis, chebyshev_nodes, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
 from tripoint.kernel import (ProblemParams, _check_unit, _green_dt_terms, _green_terms, _prepare,
                              green, green_dt)
@@ -343,6 +347,18 @@ def panel_points_reference(breaks, q):
     half = (b - a)[:, None] / 2.0
     mid = (a + b)[:, None] / 2.0
     return mid + half * gx[None, :], half * gw[None, :]
+
+
+def solver_nodes_reference(n, p):
+    """Chebyshev nodes with eta/alpha and eta snapped onto a node or sorted in."""
+    x = chebyshev_nodes(n)
+    for extra in (p.eta / p.alpha, p.eta):
+        i = int(np.argmin(np.abs(x - extra)))
+        if abs(x[i] - extra) <= 1e-12:
+            x[i] = extra
+        else:
+            x = np.sort(np.append(x, extra))
+    return x
 
 
 def _refit_coefficients(p, t, dt):

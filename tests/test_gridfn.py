@@ -11,7 +11,7 @@ from tripoint import (
 )
 from tripoint.gridfn import chebyshev_nodes
 
-from oracles import c1_norm, interpolate_reference, lincomb
+from oracles import c1_norm, interpolate_reference, lincomb, solver_nodes_reference
 
 
 def _uniform(n):
@@ -151,3 +151,37 @@ def test_solver_nodes_other_params():
     x = solver_nodes(33, p)
     assert np.min(np.abs(x - 0.7 / 1.2)) < 1e-15
     assert np.min(np.abs(x - 0.7)) < 1e-15
+
+
+def _near_node_pairs(x, rng, count):
+    # (alpha, eta) with eta or eta/alpha within 1e-12 of a node of x, or both
+    pairs = []
+    while len(pairs) < count:
+        i, j = sorted(rng.integers(1, x.size - 1, 2))
+        lo, hi = x[i] + rng.uniform(-1e-12, 1e-12), x[j] + rng.uniform(-1e-12, 1e-12)
+        kind = len(pairs) % 3
+        if kind == 1:
+            lo = rng.uniform(hi * hi, hi)  # eta on a node only
+        elif kind == 2:
+            hi = rng.uniform(lo, np.sqrt(lo))  # eta/alpha on a node only
+        try:
+            pairs.append(ProblemParams(hi / lo, hi))
+        except ValueError:
+            continue
+    return pairs
+
+
+def test_solver_nodes_match_the_sorting_reference():
+    rng = np.random.default_rng(5)
+    pairs = []
+    while len(pairs) < 200:
+        eta, frac = rng.uniform(0.05, 0.95), rng.uniform(0.01, 0.99)
+        pairs.append(ProblemParams(1.0 + frac * (1.0 / eta - 1.0), eta))
+    for n in [*range(9, 301), 4097, 8193]:
+        # every pair at the two large sizes, a fifth of them per small size
+        for p in pairs if n > 300 else pairs[n % 40::40]:
+            assert solver_nodes(n, p).tobytes() == solver_nodes_reference(n, p).tobytes(), (n, p)
+        for p in _near_node_pairs(chebyshev_nodes(n), rng, 6):
+            ref = solver_nodes_reference(n, p)
+            assert ref.size < n + 2  # the snap branch was taken
+            assert solver_nodes(n, p).tobytes() == ref.tobytes(), (n, p)

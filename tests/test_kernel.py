@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy
@@ -181,7 +183,10 @@ def test_kernels_match_first_match_selection_bitwise(p, t_extra, s_extra):
         ref = select_first_match(p, T, S, branches(p, T, S))
         for got in (kernel(p, t[:, None], s[None, :]), kernel(p, T, S)):
             assert got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
+            # the closed form t^2 R(s) - (t-s)_+^2/2 rounds differently from
+            # the branches, except where both vanish exactly
+            assert np.all(got[t == 0.0] == 0.0) and np.all(got[:, s == 0.0] == 0.0)
+            assert np.max(np.abs(got - ref)) <= 32 * np.spacing(np.max(np.abs(ref)))
 
 
 @settings(max_examples=30)
@@ -275,3 +280,90 @@ def test_coefficient_table_matches_the_paper_formulas(alpha, eta):
     table, table_dt = tables
     assert np.all(table_dt[:, :, 2] == 0.0)
     assert np.allclose(table_dt[:, :, :2], table[:, :, 1:] * [1.0, 2.0], rtol=0, atol=1e-14 * scale)
+
+
+def _exact_kernel(p, t, s, dt):
+    """The docstring's first-match branch of G (or dG/dt) at (t, s), in rationals.
+
+    ``1 - alpha*eta`` is the float ``p.gap``, as in the package.
+    """
+    a, t, s, gap = Fraction(p.alpha), Fraction(t), Fraction(s), Fraction(p.gap)
+    if s <= min(p.eta, t):
+        g, dg = (2 * t * s - s * s) * gap + t * t * s * (a - 1), s * gap + t * s * (a - 1)
+    elif s <= p.eta:
+        g, dg = t * t * gap + t * t * s * (a - 1), t * gap + t * s * (a - 1)
+    elif s <= t:
+        g, dg = (2 * t * s - s * s) * gap + t * t * (1 - gap - s), s * gap + t * (1 - gap - s)
+    else:
+        g, dg = t * t * (1 - s), t * (1 - s)
+    return dg / gap if dt else g / (2 * gap)
+
+
+@settings(max_examples=40)
+@given(admissible_params(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_closed_form_matches_the_exact_branches(p, extra):
+    # both seams at every t (s = t and s = eta) and uniform points, so the
+    # grid's max|G| is the kernel's scale on the square: the closed form's
+    # error is an ulp or so of t^2 R(s), not of a small G
+    t = np.array([*np.linspace(0.0, 1.0, 5), p.eta / p.alpha, p.eta, *extra])
+    s = np.array([*np.linspace(0.0, 1.0, 9), p.eta, *t])
+    for kernel, dt in ((green, False), (green_dt, True)):
+        got = kernel(p, t[:, None], s[None, :])
+        exact = [[_exact_kernel(p, ti, si, dt) for si in s] for ti in t]
+        err = max(abs(Fraction(float(g)) - e) for row_g, row_e in zip(got, exact)
+                  for g, e in zip(row_g, row_e))
+        assert err <= 8 * np.spacing(float(max(abs(e) for row in exact for e in row)))
+
+
+@settings(max_examples=40)
+@given(admissible_params())
+def test_closed_form_keeps_relative_accuracy_as_s_tends_to_1(p):
+    # on branch 4 (s above eta and t) G = t^2 (1-s) / (2(1-alpha*eta)); R is
+    # expanded about s = 1, so G stays within a few ulps of itself, not of 1/gap
+    s = 1.0 - np.logspace(-1, -15, 29)
+    s = s[s > p.eta]
+    for kernel, dt in ((green, False), (green_dt, True)):
+        for t in (p.eta, 0.5 * (p.eta + s[0])):
+            for si, got in zip(s, kernel(p, t, s)):
+                exact = _exact_kernel(p, t, si, dt)
+                assert abs(Fraction(float(got)) - exact) <= 4 * np.spacing(float(exact))
+
+
+@settings(max_examples=60)
+@given(admissible_params(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_kernels_vanish_exactly_at_t0_s0_and_s1(p, u):
+    # R(0) = 1/2 and R1(0) = 1 in the table, and R(1) = R1(1) = 0
+    u = np.array(u)
+    for kernel in (green, green_dt):
+        for t, s in ((0.0, u), (u, 0.0), (u, 1.0)):
+            assert np.all(kernel(p, t, s) == 0.0)
+
+
+def test_coefficient_table_is_fitted_once_and_read_only():
+    from tripoint.kernel import _coefficient_table
+
+    for dt in (False, True):
+        table = _coefficient_table(ProblemParams(2.0, 1 / 3), dt)
+        assert _coefficient_table(ProblemParams(2.0, 1 / 3), dt) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.nan, np.inf, -np.inf, -1e-300, np.nextafter(1.0, 2.0), [0.2, np.nan, 0.7]],
+    ids=["nan", "inf", "-inf", "tiny-negative", "one-plus-ulp", "nan-among-valid"],
+)
+def test_check_unit_rejects(x):
+    from tripoint.kernel import _check_unit
+
+    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+        _check_unit(np.asarray(x, dtype=float), "t")
+
+
+@pytest.mark.parametrize("x", [[], [0.0, 1.0], 0.0, 1.0, np.linspace(0.0, 1.0, 7)])
+def test_check_unit_accepts(x):
+    from tripoint.kernel import _check_unit
+
+    _check_unit(np.asarray(x, dtype=float), "t")

@@ -120,6 +120,20 @@ def _graded(report):
             for c in report.checks]
 
 
+def test_closed_form_certifies_like_the_branch_selection_at_801():
+    # the closed-form kernel rounds differently from the first-match branches,
+    # but the graded worst points and violations are the same
+    def branch_green(p, t, s):
+        return select_first_match(p, t, s, green_branches(p, t, s))
+
+    def branch_green_dt(p, t, s):
+        return select_first_match(p, t, s, green_dt_branches(p, t, s))
+
+    for p in (ProblemParams(1.5, 0.5), ProblemParams(2.0, 1 / 3), ProblemParams(1.05, 0.94)):
+        assert _graded(certify_kernel(p, grid_n=801)) == _graded(certify_kernel(
+            p, grid_n=801, green_fn=branch_green, green_dt_fn=branch_green_dt)), (p.alpha, p.eta)
+
+
 def test_certify_row_blocks_keep_the_full_grid_argmax(params, monkeypatch):
     import tripoint.verify as verify
 
