@@ -159,7 +159,7 @@ class Expr:
             except FloatingPointError as err:
                 raise EvalError(f"domain error while evaluating expression: {err}") from err
         out = slots[-1]  # register 0
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise EvalError("expression produced a non-finite value")
         return out
 

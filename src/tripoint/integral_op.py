@@ -40,6 +40,7 @@ as ``t^2+1``, are evaluated at its first half-sweep and kept for the solve.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -67,6 +68,15 @@ def _leggauss(q: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in rule:
         arr.setflags(write=False)
     return rule
+
+
+@lru_cache(maxsize=None)
+def _gauss_basis(q: int) -> tuple[np.ndarray, np.ndarray]:
+    # read-only q x 4 Hermite value and slope weights at the Gauss points
+    basis = tuple(np.column_stack(b) for b in _hermite_basis((_leggauss(q)[0] + 1.0) / 2.0))
+    for arr in basis:
+        arr.setflags(write=False)
+    return basis
 
 
 def panel_points(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +118,9 @@ class _MomentOperator:
     for a state on that node set.  The panels are the node intervals, and
     quadrature arrays are stored as (q, panels), so the per-panel sums run
     over contiguous rows.  The Hermite basis at the Gauss points is tabulated
-    as two q x 4 matrices: one weighs (v_j, h_j d_j, v_{j+1}, h_j d_{j+1})
-    into values, the other (v_j / h_j, d_j, v_{j+1} / h_j, d_{j+1}) into
-    slopes, with h_j the width of panel j.
+    once, as two shared q x 4 matrices: one weighs (v_j, h_j d_j, v_{j+1},
+    h_j d_{j+1}) into values, the other (v_j / h_j, d_j, v_{j+1} / h_j,
+    d_{j+1}) into slopes, with h_j the width of panel j.
 
     One block holds everything a half-sweep needs beyond the state and the
     source: the samples, the node-data stack, the cumulative moments, the
@@ -138,9 +148,10 @@ class _MomentOperator:
         # nodes) and the source registers
         shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (2, 3, 3, nodes.size),
                                  (n_rows, q * m)]
-        ends = np.cumsum([int(np.prod(sh)) for sh in shapes])
-        block = np.empty(ends[-1])
-        views = [block[end - np.prod(sh) : end].reshape(sh) for sh, end in zip(shapes, ends)]
+        block, views, end = np.empty(sum(map(math.prod, shapes))), [], 0
+        for sh in shapes:
+            views.append(block[end : end + math.prod(sh)].reshape(sh))
+            end += math.prod(sh)
         (self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums,
          self._weights, rows) = views
         self.s.T[:], self.w.T[:] = panel_points(nodes, q)
@@ -149,9 +160,7 @@ class _MomentOperator:
         self.work = Workspace(self.s_flat, sources, rows)
         self.eta_pos = int(np.searchsorted(nodes, p.eta))
         self.h = np.diff(nodes)
-        values, slopes = _hermite_basis((_leggauss(q)[0] + 1.0) / 2.0)
-        self.basis = np.column_stack(values)
-        self.slope_basis = np.column_stack(slopes)
+        self.basis, self.slope_basis = _gauss_basis(q)
 
         # (kernel, moment point, power of s, power of t) rows of the weights
         c1, c2, c3, c4 = np.stack([_coefficient_table(p, dt) for dt in (False, True)], axis=1)
@@ -183,20 +192,22 @@ class _MomentOperator:
         """One half-sweep: integrate src(s, w, w') against G and dG/dt at every node.
 
         Takes the node data of the state w and returns the output's.  The
-        sources are defined only for y, yp >= 0, so samples that interpolation
-        pushes below zero are clamped (and logged).  A floating-point fault
-        raises :class:`EvalError`, for the state samples or for the output.
+        sources are defined only for y, yp >= 0: when the least sample is
+        negative, the samples that interpolation pushed below zero are
+        counted, clamped and logged.  A floating-point fault raises
+        :class:`EvalError`, for the state samples or for the output.
         """
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
                 y, yp = self.sample(values, derivs)
             except FloatingPointError as err:
                 raise EvalError(f"non-finite state samples: {err}") from err
-            n_neg = np.count_nonzero(y < 0.0) + np.count_nonzero(yp < 0.0)
-            if n_neg:
-                logger.debug("clamped %d negative interpolated state samples to 0", n_neg)
-                np.maximum(y, 0.0, out=y)
-                np.maximum(yp, 0.0, out=yp)
+            if not (y.min() >= 0.0 and yp.min() >= 0.0):
+                n_neg = np.count_nonzero(y < 0.0) + np.count_nonzero(yp < 0.0)
+                if n_neg:
+                    logger.debug("clamped %d negative interpolated state samples to 0", n_neg)
+                    np.maximum(y, 0.0, out=y)
+                    np.maximum(yp, 0.0, out=yp)
             # w * s^k * src in the source register: one multiply by s per moment
             wphi = src.eval_array(self.s_flat, y, yp, work=self.work).reshape(self.s.shape)
             cums = self._cums
@@ -205,8 +216,8 @@ class _MomentOperator:
                 for k in range(3):
                     if k:
                         wphi *= self.s
-                    np.sum(wphi, axis=0, out=self._panel_sum)
-                    np.cumsum(self._panel_sum, out=cums[k, 1:])
+                    np.add.reduce(wphi, axis=0, out=self._panel_sum)
+                    np.add.accumulate(self._panel_sum, out=cums[k, 1:])
                 # P_k at the nodes (einsum reports no overflow), P_0..2(eta), P_0..2(1)
                 out = np.einsum("kn,jkn->jn", cums, self._weights[:, 0])
                 if not np.isfinite(out).all():
@@ -230,6 +241,6 @@ def apply_operator(p: ProblemParams, src: Expr, state: GridFunction,
     """
     if op is None:
         op = _MomentOperator(p, state.nodes, (src,))
-    elif op.p != p or not np.array_equal(op.nodes, state.nodes):
+    elif op.p != p or op.nodes.shape != state.nodes.shape or not (op.nodes == state.nodes).all():
         raise ValueError("the moment operator was built for other parameters or nodes")
     return GridFunction(state.nodes, *op(src, state.values, state.derivs))

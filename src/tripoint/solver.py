@@ -71,6 +71,10 @@ RESIDUAL_SKIP = 3
 
 # fourth-order central stencil for the third derivative, offsets -3..3
 _FD3_COEFF = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
+# the residual grid, its spacing and its interior slice, shared read-only by every solve
+_RES_T = np.linspace(0.0, 1.0, RESIDUAL_GRID)
+_RES_T.setflags(write=False)
+_RES_SPACING, _RES_INNER = _RES_T[1] - _RES_T[0], slice(RESIDUAL_SKIP, -RESIDUAL_SKIP)
 
 #: Chebyshev nodes of the coarse grid that a large solve converges on first
 _COARSE_NODES = 257
@@ -159,7 +163,8 @@ def _initial_state(init: Union[str, float, CoupledState], nodes: np.ndarray) -> 
         return CoupledState(*(GridFunction(nodes, *sample(g.values, g.derivs))
                               for g in (init.u, init.v)))
     if init == "zero":
-        return CoupledState(GridFunction.zeros(nodes), GridFunction.zeros(nodes))
+        zero = GridFunction.zeros(nodes)
+        return CoupledState(zero, zero)
     c = float(init)
     const = GridFunction(nodes, np.full_like(nodes, c), np.zeros_like(nodes))
     return CoupledState(const, const)
@@ -237,12 +242,12 @@ def solve(
     res_u, res_v = residual(p, state, f, h)
     cone_u = verify.cone_membership(p, u, CONE_SLACK)
     cone_v = verify.cone_membership(p, v, CONE_SLACK)
-    interior = nodes > 0.0
+    # nodes[0] = 0 is the only node not inside (0, 1]
     positivity_ok = bool(
-        np.all(u.values[interior] > 0.0)
-        and np.all(v.values[interior] > 0.0)
-        and np.min(u.derivs) >= -1e-12
-        and np.min(v.derivs) >= -1e-12
+        u.values[1:].min() > 0.0
+        and v.values[1:].min() > 0.0
+        and u.derivs.min() >= -1e-12
+        and v.derivs.min() >= -1e-12
     )
     report = SolveReport(
         converged=converged,
@@ -263,8 +268,8 @@ def solve(
 def _fd3(dense: np.ndarray, spacing: float) -> np.ndarray:
     """Third derivative of dense samples at the interior stencil points."""
     m = dense.size
-    out = np.zeros(m - 2 * RESIDUAL_SKIP)
-    for j, c in enumerate(_FD3_COEFF):
+    out = _FD3_COEFF[0] * dense[: m - 6]
+    for j, c in enumerate(_FD3_COEFF[1:], 1):
         if c:
             out += c * dense[j : m - 6 + j]
     return out / spacing**3
@@ -282,16 +287,13 @@ def residual(
     each end where the centered stencil does not fit.  Both sources evaluate
     in one workspace at those points.
     """
-    tg = np.linspace(0.0, 1.0, RESIDUAL_GRID)
-    spacing = tg[1] - tg[0]
-    inner = slice(RESIDUAL_SKIP, -RESIDUAL_SKIP)
-    t_in = tg[inner]
+    inner, t_in = _RES_INNER, _RES_T[_RES_INNER]
     work = Workspace(t_in, (f, h))
-    sample = _sampler(state.nodes, tg)
+    sample = _sampler(state.nodes, _RES_T)
     (uv, ud), (vv, vd) = (sample(g.values, g.derivs) for g in (state.u, state.v))
     out = []
     for gv, ov, od, src in ((uv, vv, vd, f), (vv, uv, ud, h)):
-        d3 = _fd3(gv, spacing)
+        d3 = _fd3(gv, _RES_SPACING)
         rhs = src.eval_array(t_in, np.maximum(ov[inner], 0.0), np.maximum(od[inner], 0.0),
                              work=work)
         out.append(float(np.max(np.abs(d3 + rhs))))
@@ -299,8 +301,10 @@ def residual(
 
 
 def bc_defect(p: ProblemParams, g: GridFunction) -> float:
-    """max(|g(0)|, |g'(0)|, |g'(1) - alpha*g'(eta)|), with g'(eta) interpolated."""
-    _, d_eta = interpolate(g, p.eta)
+    """max(|g(0)|, |g'(0)|, |g'(1) - alpha*g'(eta)|), with g'(eta) read at its node when
+    eta is one (as on every solver node set) and interpolated otherwise."""
+    k = int(g.nodes.searchsorted(p.eta))
+    d_eta = g.derivs[k] if g.nodes[k] == p.eta else interpolate(g, p.eta)[1]
     return float(
         max(abs(g.values[0]), abs(g.derivs[0]), abs(g.derivs[-1] - p.alpha * d_eta))
     )

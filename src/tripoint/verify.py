@@ -162,12 +162,16 @@ def cone_membership(p: ProblemParams, g: GridFunction, slack: float = 1e-9) -> C
     """
     nodes = g.nodes
     lo, hi = p.eta / p.alpha, p.eta
-    if np.min(np.abs(nodes - lo)) > 1e-12 or np.min(np.abs(nodes - hi)) > 1e-12:
+    # the nodes increase strictly from 0 to 1, so each end's nearest node is a
+    # neighbour of its insertion point, and the window is one slice
+    i, j = nodes.searchsorted((lo, hi))
+    if (min(lo - nodes[i - 1], nodes[i] - lo) > 1e-12
+            or min(hi - nodes[j - 1], nodes[j] - hi) > 1e-12):
         raise ValueError("node set must contain eta/alpha and eta")
-    window = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
-    nonneg_ok = bool(np.min(g.values) >= -slack)
-    value_margin = float(np.min(g.values[window]) - p.k0 * np.max(np.abs(g.values)))
-    deriv_margin = float(np.min(g.derivs[window]) - p.k1 * np.max(np.abs(g.derivs)))
+    window = slice(nodes.searchsorted(lo - 1e-12), nodes.searchsorted(hi + 1e-12, side="right"))
+    nonneg_ok = bool(g.values.min() >= -slack)
+    value_margin = float(g.values[window].min() - p.k0 * np.abs(g.values).max())
+    deriv_margin = float(g.derivs[window].min() - p.k1 * np.abs(g.derivs).max())
     value_lower_ok = value_margin >= -slack
     deriv_lower_ok = deriv_margin >= -slack
     return ConeMembershipReport(

@@ -36,7 +36,13 @@ pointwise; it shares only ``panel_points`` with the moment operator.
 
 :func:`residual_reference` is the finite-difference residual as it was before
 each half was sampled only once: four :func:`interpolate_reference` calls,
-the interior points sampled on their own.
+the interior points sampled on their own, and the third difference
+:func:`fd3_reference` summed into zeros.
+
+:func:`bc_defect_reference` is ``solver.bc_defect`` as it was before g'(eta)
+was read at its node: always interpolated.  :func:`cone_membership_reference`
+is ``verify.cone_membership`` as it was before the window became a slice:
+distances to every node and boolean-mask windows.
 
 :func:`interpolate_reference` is ``gridfn.interpolate`` as it was before the
 Hermite sampler was split from it: a ``searchsorted``, the panel widths and
@@ -60,11 +66,12 @@ from fractions import Fraction
 import numpy as np
 
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
-from tripoint.gridfn import GridFunction, _hermite_basis, chebyshev_nodes, solver_nodes
+from tripoint.gridfn import GridFunction, _hermite_basis, chebyshev_nodes, interpolate, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
 from tripoint.kernel import (ProblemParams, _check_unit, _green_dt_terms, _green_terms, _prepare,
                              green, green_dt)
-from tripoint.solver import RESIDUAL_GRID, RESIDUAL_SKIP, SolveConfig, SolveError, _fd3, _initial_state
+from tripoint.solver import RESIDUAL_GRID, RESIDUAL_SKIP, SolveConfig, SolveError, _initial_state
+from tripoint.verify import ConeMembershipReport
 
 
 def poly_bvp_solution(alpha, eta, qcoeffs):
@@ -397,7 +404,52 @@ def residual_reference(p, state, f, h):
     for g, other, src in ((state.u, state.v, f), (state.v, state.u, h)):
         gv, _ = interpolate_reference(g, tg)
         ov, od = interpolate_reference(other, inner)
-        d3 = _fd3(gv, spacing)
+        d3 = fd3_reference(gv, spacing)
         rhs = src.eval_array(inner, np.maximum(ov, 0.0), np.maximum(od, 0.0))
         out.append(float(np.max(np.abs(d3 + rhs))))
     return out[0], out[1]
+
+
+_FD3_COEFF = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
+
+
+def fd3_reference(dense, spacing):
+    """Fourth-order third difference of dense samples, summed into zeros."""
+    m = dense.size
+    out = np.zeros(m - 2 * RESIDUAL_SKIP)
+    for j, c in enumerate(_FD3_COEFF):
+        if c:
+            out += c * dense[j : m - 6 + j]
+    return out / spacing**3
+
+
+def bc_defect_reference(p, g):
+    """max(|g(0)|, |g'(0)|, |g'(1) - alpha*g'(eta)|), with g'(eta) interpolated."""
+    _, d_eta = interpolate(g, p.eta)
+    return float(
+        max(abs(g.values[0]), abs(g.derivs[0]), abs(g.derivs[-1] - p.alpha * d_eta))
+    )
+
+
+def cone_membership_reference(p, g, slack=1e-9):
+    """The three cone conditions on g's node data, windowed by boolean masks."""
+    nodes = g.nodes
+    lo, hi = p.eta / p.alpha, p.eta
+    if np.min(np.abs(nodes - lo)) > 1e-12 or np.min(np.abs(nodes - hi)) > 1e-12:
+        raise ValueError("node set must contain eta/alpha and eta")
+    window = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
+    nonneg_ok = bool(np.min(g.values) >= -slack)
+    value_margin = float(np.min(g.values[window]) - p.k0 * np.max(np.abs(g.values)))
+    deriv_margin = float(np.min(g.derivs[window]) - p.k1 * np.max(np.abs(g.derivs)))
+    value_lower_ok = value_margin >= -slack
+    deriv_lower_ok = deriv_margin >= -slack
+    return ConeMembershipReport(
+        member=nonneg_ok and value_lower_ok and deriv_lower_ok,
+        nonneg_ok=nonneg_ok,
+        value_lower_ok=value_lower_ok,
+        deriv_lower_ok=deriv_lower_ok,
+        value_margin=value_margin,
+        deriv_margin=deriv_margin,
+        k0=p.k0,
+        k1=p.k1,
+    )

@@ -361,3 +361,81 @@ def test_cached_gauss_rule_is_read_only():
     for arr in _leggauss(_QUAD_POINTS):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_cached_gauss_basis_is_shared_and_read_only(params, f_example):
+    from tripoint.expr import Workspace
+    from tripoint.gridfn import _hermite_basis
+    from tripoint.integral_op import _QUAD_POINTS, _MomentOperator, _leggauss
+
+    sources = ((), (f_example,))
+    ops = [_MomentOperator(params, solver_nodes(n, params), src)
+           for n, src in zip((17, 65), sources)]
+    x = (_leggauss(_QUAD_POINTS)[0] + 1.0) / 2.0
+    for name, weights in zip(("basis", "slope_basis"), _hermite_basis(x)):
+        first, second = (getattr(op, name) for op in ops)
+        assert first is second
+        assert first.shape == (_QUAD_POINTS, 4)
+        assert first.tobytes() == np.column_stack(weights).tobytes()
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+    for op, src in zip(ops, sources):
+        # the views tile one block, in order, and the source registers fill the rest
+        views = (op.s, op.w, op._vals, op._ders, op._stack, op._panel_sum, op._cums, op._weights)
+        block = op.s.base
+        start = at = block.__array_interface__["data"][0]
+        for view in views:
+            assert view.base is block
+            assert view.__array_interface__["data"][0] == at
+            at += view.nbytes
+        assert start + block.nbytes - at == Workspace.rows_for(src) * op.s_flat.nbytes
+
+
+def _clamp_messages(caplog):
+    return [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
+
+
+@pytest.mark.parametrize("only_slopes", [False, True])
+def test_clamp_logs_the_count_of_negative_samples(params, caplog, only_slopes):
+    from tripoint.integral_op import _MomentOperator
+
+    nodes = solver_nodes(65, params)
+    values, derivs = np.random.default_rng(53).normal(size=(2, nodes.size))
+    if only_slopes:  # values well above zero: only the slope samples dip below it
+        values = 1.0 + nodes
+    src = parse("1+y+yp")
+    op = _MomentOperator(params, nodes, (src,))
+    y, yp = op.sample(values, derivs)
+    n_neg = np.count_nonzero(y < 0.0) + np.count_nonzero(yp < 0.0)
+    assert 0 < n_neg < y.size + yp.size
+    assert (y.min() >= 0.0) == only_slopes
+    with caplog.at_level("DEBUG", logger="tripoint.integral_op"):
+        op(src, values, derivs)
+    assert _clamp_messages(caplog) == [
+        f"clamped {n_neg} negative interpolated state samples to 0"]
+
+
+def test_non_negative_samples_are_not_clamped(params, caplog):
+    nodes = solver_nodes(65, params)
+    # (a constant state is no example: its sampled slopes round to about -5e-14)
+    states = (GridFunction.zeros(nodes), _random_nonneg_state(nodes, np.random.default_rng(59)))
+    with caplog.at_level("DEBUG", logger="tripoint.integral_op"):
+        for g in states:
+            apply_operator(params, parse("1+y+yp"), g)
+    assert _clamp_messages(caplog) == []
+
+
+@pytest.mark.parametrize("src, big, message", [
+    ("y+yp", "values", "non-finite state samples: overflow encountered in divide"),
+    ("y*yp", "derivs", "domain error while evaluating expression: overflow encountered in multiply"),
+])
+def test_node_data_near_the_float_limit_raise_the_same_errors(params, src, big, message, caplog):
+    # alternating +-1e308 node data; on the slopes it gets through sampling and the clamp
+    nodes = solver_nodes(17, params)
+    data = {"values": np.zeros_like(nodes), "derivs": np.zeros_like(nodes)}
+    data[big] = 1e308 * np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    with caplog.at_level("DEBUG", logger="tripoint.integral_op"):
+        with pytest.raises(EvalError) as err:
+            apply_operator(params, parse(src), GridFunction(nodes, **data))
+    assert str(err.value) == message
+    assert len(_clamp_messages(caplog)) == (big == "derivs")

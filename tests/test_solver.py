@@ -19,7 +19,9 @@ from tripoint import (
     solve,
     solver_nodes,
 )
-from oracles import c1_norm, interpolate_reference, lincomb, picard_solve, residual_reference
+from oracles import (bc_defect_reference, c1_norm, fd3_reference, interpolate_reference, lincomb,
+                     picard_solve, residual_reference)
+from test_verify import _random_admissible
 
 # nonnegative profiles phi(y, yp) for y, yp >= 0; the first group is positive
 # at the zero state, so a source led by one cannot stop at the zero solution
@@ -211,6 +213,49 @@ def test_bc_defect_golden_values(params):
     nodes3 = solver_nodes(65, p3)
     ident3 = GridFunction(nodes3, nodes3, np.ones_like(nodes3))
     assert bc_defect(p3, ident3) == pytest.approx(p3.alpha - 1.0, abs=1e-15)
+
+
+def test_bc_defect_reads_eta_at_its_node_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for i, p in enumerate(_random_admissible(rng) for _ in range(200)):
+        for n in (9 + i, 300 - i):  # together every n in 9..300
+            nodes = solver_nodes(n, p)
+            values, derivs = rng.normal(size=(2, nodes.size))
+            if n > 150:  # let g'(1) - alpha*g'(eta) set the defect
+                values[0] = derivs[0] = 0.0
+            g = GridFunction(nodes, values, derivs)
+            assert bc_defect(p, g).hex() == bc_defect_reference(p, g).hex()
+
+
+def test_bc_defect_interpolates_off_the_nodes_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for p in (_random_admissible(rng) for _ in range(50)):
+        nodes = np.linspace(0.0, 1.0, int(rng.integers(9, 40)))
+        if p.eta in nodes:
+            continue
+        values, derivs = rng.normal(size=(2, nodes.size))
+        g = GridFunction(nodes, values, derivs)
+        assert bc_defect(p, g).hex() == bc_defect_reference(p, g).hex()
+
+
+@pytest.mark.parametrize("end_slope", [0.0, -0.0])
+def test_bc_defect_of_a_signed_zero_slope_at_eta(params, end_slope):
+    # only the sign of a zero g'(eta) can differ from the interpolated one
+    nodes = solver_nodes(33, params)
+    derivs = np.random.default_rng(29).normal(size=nodes.size)
+    derivs[0] = 0.0
+    derivs[-1] = end_slope
+    derivs[int(np.searchsorted(nodes, params.eta))] = -0.0
+    g = GridFunction(nodes, np.zeros_like(nodes), derivs)
+    assert bc_defect(params, g).hex() == bc_defect_reference(params, g).hex() == "0x0.0p+0"
+
+
+def test_fd3_equals_the_sum_into_zeros():
+    from tripoint.solver import _fd3
+
+    dense = np.random.default_rng(31).normal(size=1001)
+    for x in (dense, np.zeros(1001), -np.abs(dense)):
+        assert np.array_equal(_fd3(x, 1e-3), fd3_reference(x, 1e-3))
 
 
 def test_bc_defect_structural_for_operator_outputs(params, f_example, h_example):

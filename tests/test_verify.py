@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import green_branches, green_dt_branches, select_first_match
+from oracles import cone_membership_reference, green_branches, green_dt_branches, select_first_match
 
 from tripoint import (
     EvalError,
@@ -20,6 +20,7 @@ from tripoint import (
     parse,
     solver_nodes,
 )
+from tripoint.gridfn import chebyshev_nodes
 
 
 def _random_admissible(rng):
@@ -236,6 +237,72 @@ def test_operator_output_value_clause_holds(params, f_example):
     # cone constant eta/alpha = 1/3, so the derivative clause fails for
     # generic outputs; the acceptance gate (criterion 6) asserts the clause at
     # 1/3 and pins the constant-source violation -1/72 at k1
+
+
+def _cone_fields(check, p, g):
+    """Every report field, floats by hex, or the ValueError's message."""
+    try:
+        report = check(p, g, slack=1e-9)
+    except ValueError as err:
+        return ("ValueError", str(err))
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
+
+
+def _assert_cone_matches_reference(p, nodes, rng):
+    values, derivs = rng.normal(0.5, 1.0, size=(2, nodes.size))
+    if rng.random() < 0.5:
+        values, derivs = np.abs(values), np.abs(derivs)
+    g = GridFunction(nodes, values, derivs)
+    got = _cone_fields(cone_membership, p, g)
+    assert got == _cone_fields(cone_membership_reference, p, g)
+    return got
+
+
+def test_cone_membership_on_solver_nodes_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        p = _random_admissible(rng)
+        _assert_cone_matches_reference(p, solver_nodes(int(rng.integers(9, 300)), p), rng)
+
+
+def _nodes_without_window_ends(p, rng):
+    x = chebyshev_nodes(int(rng.integers(9, 80)))
+    return x[(np.abs(x - p.eta / p.alpha) > 1e-9) & (np.abs(x - p.eta) > 1e-9)]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13, 9e-13, -9e-13, 1e-12, -1e-12,
+                                    2e-12, -2e-12, 1e-6])
+def test_cone_membership_near_and_off_the_window_ends_bit_for_bit(offset):
+    # within 1e-12 of a node the ends count as present; beyond, the same ValueError
+    rng = np.random.default_rng(43)
+    errors = 0
+    for _ in range(40):
+        p = _random_admissible(rng)
+        lo, hi = p.eta / p.alpha, p.eta
+        x = _nodes_without_window_ends(p, rng)
+        for ends in ((lo + offset, hi), (lo, hi + offset), (lo - offset, hi + offset), (lo,), (hi,)):
+            got = _assert_cone_matches_reference(p, np.union1d(x, ends), rng)
+            errors += isinstance(got, tuple)
+    if abs(offset) != 1e-12:  # at 1e-12 the rounding of lo + offset decides
+        assert errors == (200 if abs(offset) > 1e-12 else 80)  # (lo,) and (hi,) always raise
+
+
+def test_cone_window_edges_bit_for_bit():
+    # a node at the window's 1e-12 margin, or one ulp either side of it, holds
+    # the window minimum, so including or excluding it shows in the margins
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        p = _random_admissible(rng)
+        lo, hi = p.eta / p.alpha, p.eta
+        x = _nodes_without_window_ends(p, rng)
+        for edge in (lo - 1e-12, hi + 1e-12):
+            for extra in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
+                nodes = np.union1d(x, (lo, hi, extra))
+                at = int(np.searchsorted(nodes, extra))
+                g = GridFunction(nodes, np.where(np.arange(nodes.size) == at, -1.0, 1.0),
+                                 np.where(np.arange(nodes.size) == at, -1.0, 1.0))
+                assert (_cone_fields(cone_membership, p, g)
+                        == _cone_fields(cone_membership_reference, p, g))
 
 
 def test_membership_report_serializes(params):
