@@ -7,22 +7,25 @@ through
     (derivative)  t  ->  integral_0^1 dG/dt(t, s)  src(s, w(s), w'(s)) ds
 
 where ``src`` is a parsed expression with (t, y, yp) bound to
-(s, w(s), w'(s)).  Because G and dG/dt are polynomials of degree <= 2 in s
-between the seams {t, eta}, every node integral is a fixed linear combination
-of the cumulative source moments
+(s, w(s), w'(s)).  The kernel is ``G = t^2 R(s) - (t-s)_+^2 / 2`` with R
+linear in s on each side of eta (:mod:`tripoint.kernel`), so with the
+cumulative source moments
 
     P_k(x) = integral_0^x s^k src(...) ds,   k = 0, 1, 2,
 
-taken at t, eta and 1.  The operator requires the node set to contain eta,
-as :func:`~tripoint.gridfn.solver_nodes` guarantees; then every seam is a
+and the one number ``c = integral_0^1 R(s) src(...) ds``, which R's
+coefficients ``lo0 + lo1 s`` (up to eta) and ``hi (1 - s)`` (above) take
+from ``P_0``, ``P_1`` at eta and 1, every node t reads
+
+    w(t) = t^2 (c - P_0(t)/2) + t P_1(t) - P_2(t)/2,   w'(t) = t (2c - P_0(t)) + P_1(t).
+
+The operator requires the node set to contain eta, as
+:func:`~tripoint.gridfn.solver_nodes` guarantees; then every seam is a
 node, every quadrature panel is a whole node interval, and each node costs
-O(1) arithmetic once the source has been evaluated at the Gauss points.  The
-weights are quadratics in t read off the kernel's table of branch
-coefficients (:func:`~tripoint.kernel._coefficient_table`); this module only
-knows which branch covers which interval.  At t = 0 branches 2 and 4 vanish
-and branch 1 spans [0, 0], so outputs vanish (value and derivative) exactly
-there, and dG/dt(1, s) = alpha * dG/dt(eta, s) pointwise makes the
-three-point derivative condition hold to rounding for any source.
+O(1) arithmetic once the source has been evaluated at the Gauss points.
+Since P_k(0) = 0, outputs vanish (value and derivative) exactly at t = 0,
+and both sides of w'(1) = alpha * w'(eta) read the same c, so the
+three-point derivative condition holds to rounding for any source.
 
 Each panel carries ``_QUAD_POINTS`` = 4 Gauss points, the lowest order
 exact for a degree-7 panel integrand: ``s^k * src`` (k <= 2) for a source
@@ -34,7 +37,7 @@ A solve builds one :class:`_MomentOperator` for its parameters, node set and
 sources, and a half-sweep is one call ``op(src, values, derivs)`` from the
 state's node data to the output's, under one floating-point guard;
 :func:`apply_operator` wraps it for grid functions.  A warm half-sweep
-allocates only node-sized arrays, and the t-only parts of each source, such
+allocates no array, and the t-only parts of each source, such
 as ``t^2+1``, are evaluated at its first half-sweep and kept for the solve.
 """
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 from .expr import EvalError, Expr, Workspace
 # interpolate is not called here; perfbench/tracing.py wraps it by this name
 from .gridfn import GridFunction, _hermite_basis, interpolate  # noqa: F401
-from .kernel import ProblemParams, _coefficient_table
+from .kernel import ProblemParams, _r_coefficients
 
 __all__ = ["CoupledState", "apply_operator"]
 
@@ -123,16 +126,12 @@ class _MomentOperator:
     d_{j+1}) into slopes, with h_j the width of panel j.
 
     One block holds everything a half-sweep needs beyond the state and the
-    source: the samples, the node-data stack, the cumulative moments, the
-    sources' workspace rows (:attr:`work`) and the weights of ``P_k(t)``,
-    ``P_k(eta)`` and ``P_k(1)`` in G and dG/dt at every node (2 x 3 x 3 x
-    nodes).  A node ``t`` integrates branch 1 over ``[0, min(t, eta)]``,
-    branch 2 (``t <= eta``) or 3 between ``t`` and ``eta``, and branch 4 over
-    ``[max(t, eta), 1]``.  So with the branches' coefficient tables ``c1..c4``
-    the weights are ``c1 - c2``, ``c2 - c4``, ``c4`` up to eta (eta
-    included) and ``c3 - c4``, ``c1 - c3``, ``c4`` above, each evaluated
-    over ``[1, t, t^2]`` by one matmul per side.  The arrays :meth:`sample`
-    returns are overwritten by the next half-sweep.
+    source: the samples, the node-data stack, the cumulative moments, ``t^2``,
+    the outputs, the panel widths and the sources' workspace rows
+    (:attr:`work`).  A half-sweep contracts the moments at eta and 1 with R's
+    three coefficients into the scalar ``c``, then evaluates the module
+    docstring's closed forms at every node.  The arrays :meth:`sample` and a
+    call return are overwritten by the next half-sweep.
     """
 
     def __init__(self, p: ProblemParams, nodes: np.ndarray, sources: tuple[Expr, ...] = ()):
@@ -144,32 +143,24 @@ class _MomentOperator:
         n_rows = Workspace.rows_for(sources)
         # one block: Gauss points and weights, sampled values and slopes
         # (q x m each), the node-data stack (4 x m), panel sums (m),
-        # cumulative moments (3 x (m+1)), the moment weights (2 x 3 x 3 x
-        # nodes) and the source registers
-        shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (2, 3, 3, nodes.size),
-                                 (n_rows, q * m)]
+        # cumulative moments (3 x (m+1)), t^2 and the outputs (3 x (m+1)),
+        # the panel widths (m) and the source registers
+        shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (3, m + 1), (m,), (n_rows, q * m)]
         block, views, end = np.empty(sum(map(math.prod, shapes))), [], 0
         for sh in shapes:
             views.append(block[end : end + math.prod(sh)].reshape(sh))
             end += math.prod(sh)
         (self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums,
-         self._weights, rows) = views
+         (self.t2, *self._out), self.h, rows) = views
         self.s.T[:], self.w.T[:] = panel_points(nodes, q)
         self._cums[:, 0] = 0.0
         self.s_flat = self.s.ravel()
         self.work = Workspace(self.s_flat, sources, rows)
         self.eta_pos = int(np.searchsorted(nodes, p.eta))
-        self.h = np.diff(nodes)
+        np.subtract(nodes[1:], nodes[:-1], out=self.h)
         self.basis, self.slope_basis = _gauss_basis(q)
-
-        # (kernel, moment point, power of s, power of t) rows of the weights
-        c1, c2, c3, c4 = np.stack([_coefficient_table(p, dt) for dt in (False, True)], axis=1)
-        powers = np.stack((np.ones_like(nodes), nodes, nodes * nodes))
-        weights, split = self._weights.reshape(18, -1), self.eta_pos + 1
-        for cols, table in ((slice(split), (c1 - c2, c2 - c4, c4)),
-                            (slice(split, None), (c3 - c4, c1 - c3, c4))):
-            coeffs = np.stack(table, axis=1).reshape(18, 3)
-            np.matmul(coeffs, powers[:, cols], out=weights[:, cols])
+        np.multiply(nodes, nodes, out=self.t2)
+        self._r = _r_coefficients(p)
 
     def sample(self, v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Value and slope at the quadrature points of the interpolant of node data (v, d)."""
@@ -191,7 +182,8 @@ class _MomentOperator:
                  ) -> tuple[np.ndarray, np.ndarray]:
         """One half-sweep: integrate src(s, w, w') against G and dG/dt at every node.
 
-        Takes the node data of the state w and returns the output's.  The
+        Takes the node data of the state w and returns the output's, as
+        views that the next half-sweep overwrites.  The
         sources are defined only for y, yp >= 0: when the least sample is
         negative, the samples that interpolation pushed below zero are
         counted, clamped and logged.  A floating-point fault raises
@@ -218,15 +210,24 @@ class _MomentOperator:
                         wphi *= self.s
                     np.add.reduce(wphi, axis=0, out=self._panel_sum)
                     np.add.accumulate(self._panel_sum, out=cums[k, 1:])
-                # P_k at the nodes (einsum reports no overflow), P_0..2(eta), P_0..2(1)
-                out = np.einsum("kn,jkn->jn", cums, self._weights[:, 0])
-                if not np.isfinite(out).all():
-                    raise FloatingPointError("overflow in the moment contraction")
-                ends = cums[:, (self.eta_pos, -1)].T.ravel()
-                out += ends @ self._weights[:, 1:].reshape(2, 6, -1)
+                # c = integral_0^1 R src: lo0 + lo1 s up to eta, hi (1 - s) above
+                p0, p1, p2 = cums
+                (e0, f0), (e1, f1) = cums[:2, (self.eta_pos, -1)]
+                lo0, lo1, hi = self._r
+                c = lo0 * e0 + lo1 * e1 + hi * ((f0 - e0) - (f1 - e1))
+                # t^2 (c - P_0/2) + t P_1 - P_2/2 and t (2c - P_0) + P_1
+                value, slope = self._out
+                np.multiply(p0, -0.5, out=value)
+                value += c
+                value *= self.t2
+                value += np.multiply(self.nodes, p1, out=slope)
+                value -= np.multiply(p2, 0.5, out=slope)
+                np.subtract(2.0 * c, p0, out=slope)
+                slope *= self.nodes
+                slope += p1
             except FloatingPointError as err:
                 raise EvalError(f"non-finite operator output: {err}") from err
-        return out[0], out[1]
+        return value, slope
 
 
 def apply_operator(p: ProblemParams, src: Expr, state: GridFunction,

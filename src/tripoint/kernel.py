@@ -27,15 +27,15 @@ and the t-derivative has the same branch structure with::
 The four branches are one closed form, ``G = t^2 R(s) - (t-s)_+^2 / 2`` and
 ``dG/dt = t R1(s) - (t-s)_+``, with R1 = 2R linear in s on each side of eta:
 ``2(1-alpha*eta) R(s)`` is ``(1-alpha*eta) + s(alpha-1)`` for s <= eta and
-``1-s`` above.  :func:`green` and :func:`green_dt` read R and R1 off ``_coefficient_table``
-(the t^2 and t coefficients of branches 2 and 4), fitted from the branches as written once
-in ``_green_terms``/``_green_dt_terms``.  R(0) = 1/2, R1(0) = 1 and R(1) = R1(1) = 0, so G
-and dG/dt vanish exactly at t = 0 (the left boundary conditions), at s = 0 and on s = 1.
+``1-s`` above.  Those three coefficients, read through ``_r_coefficients``, are
+the whole kernel: :func:`green` and :func:`green_dt` evaluate the closed forms, and
+the moment operator contracts ``integral R(s) src(s) ds`` with them.  R(0) = 1/2,
+R1(0) = 1 and R(1) = R1(1) = 0, so G and dG/dt vanish exactly at t = 0 (the left
+boundary conditions), at s = 0 and on s = 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,63 +106,20 @@ def _prepare(t, s) -> tuple[np.ndarray, np.ndarray, bool]:
     return t_arr, s_arr, (t_arr.ndim == 0 and s_arr.ndim == 0)
 
 
-def _green_terms(p: ProblemParams, t, s) -> tuple[tuple, float]:
-    """The four branches of G at (t, s) in branch order, undivided, and their divisor."""
-    den = p.gap
-    t2 = t**2
-    cross = 2 * t * s
-    cross -= s**2
-    cross *= den  # branches 1 and 3
-    rise = t2 * s
-    rise *= p.alpha - 1  # branches 1 and 2
-    b1 = cross + rise
-    rise += t2 * den
-    cross += t2 * (p.alpha * p.eta - s)
-    return (b1, rise, cross, t2 * (1 - s)), 2 * den
-
-
-def _green_dt_terms(p: ProblemParams, t, s) -> tuple[tuple, float]:
-    """The four branches of dG/dt at (t, s), as :func:`_green_terms`."""
-    den = p.gap
-    rise = t * s
-    rise *= p.alpha - 1  # branches 1 and 2
-    sden = s * den  # branches 1 and 3
-    b1 = sden + rise
-    rise += t * den
-    return (b1, rise, sden + t * (p.alpha * p.eta - s), t * (1 - s)), den
-
-
-#: inverse of the Vandermonde matrix of the points 0, 1/2, 1: it maps a
-#: quadratic's values there to its coefficients of x^0, x^1, x^2
-_LATTICE_FIT = np.array([[1.0, 0.0, 0.0], [-3.0, 4.0, -1.0], [2.0, -4.0, 2.0]])
-#: the lattice {0, 1/2, 1}^2 as s and t grids, in extended precision where the
-#: platform has it, so that the table comes out rounded once
-_LATTICE_S, _LATTICE_T = np.meshgrid(*[np.array([0.0, 0.5, 1.0], dtype=np.longdouble)] * 2,
-                                     indexing="ij")
-
-
-@lru_cache(maxsize=64)
-def _coefficient_table(p: ProblemParams, dt: bool = False) -> np.ndarray:
-    """The coefficients of the four branches of G (or dG/dt) as a 4 x 3 x 3 table.
-
-    ``C[b, k, j]`` is the coefficient of ``s^k t^j`` in branch b, so branch b
-    is ``sum C[b, k, j] s^k t^j``.  Each branch has degree <= 2 in s and in t,
-    so its values on the lattice ``{0, 1/2, 1}^2`` fix the table.  Cached, so read-only.
-    """
-    branches, den = (_green_dt_terms if dt else _green_terms)(p, _LATTICE_T, _LATTICE_S)
-    table = (_LATTICE_FIT @ np.array(branches) @ _LATTICE_FIT.T / den).astype(float)
-    table.setflags(write=False)
-    return table
+def _r_coefficients(p: ProblemParams) -> tuple[float, float, float]:
+    """R's coefficients ``(lo0, lo1, hi)``: R(s) = lo0 + lo1*s for s <= eta, hi*(1-s) above."""
+    den = 2.0 * p.gap
+    return 0.5, (p.alpha - 1.0) / den, 1.0 / den
 
 
 def _closed_form(p: ProblemParams, t, s, dt: bool):
-    # t^2 R(s) (or t R1(s)) and the ramp (t - s)_+ on the broadcast grid; R above
-    # eta is expanded about s = 1, where it vanishes, to keep its relative accuracy
+    # t^2 R(s) (or t R1(s), R1 = 2R) and the ramp (t - s)_+ on the broadcast
+    # grid; R above eta is hi*(1-s), so it vanishes exactly on s = 1
     t_arr, s_arr, scalar = _prepare(t, s)
     ramp = np.asarray(t_arr - s_arr)
     np.maximum(ramp, 0.0, out=ramp)
-    (lo0, lo1), (hi0, hi1) = _coefficient_table(p, dt)[1::2, :2, 1 if dt else 2]
-    r = np.where(s_arr <= p.eta, lo0 + lo1 * s_arr, (hi0 + hi1) + hi1 * (s_arr - 1.0))
+    lo0, lo1, hi = (2.0 * c if dt else c for c in _r_coefficients(p))
+    r = np.where(s_arr <= p.eta, lo0 + lo1 * s_arr, hi * (1.0 - s_arr))
     return np.asarray((t_arr if dt else t_arr**2) * r), ramp, scalar
 
 

@@ -108,8 +108,7 @@ def certify_kernel(
     """
     if grid_n < MIN_GRID:
         raise ValueError(f"grid too coarse: grid_n must be >= {MIN_GRID}")
-    sg = np.linspace(0.0, 1.0, grid_n)
-    tg = np.linspace(0.0, 1.0, grid_n)
+    tg = sg = np.linspace(0.0, 1.0, grid_n)
     tw = np.linspace(p.eta / p.alpha, p.eta, grid_n)
     S = sg[None, :]
     g0 = g0_bound(p, S)

@@ -16,9 +16,8 @@ formulas of G and dG/dt term by term on broadcast full-size arrays, and
 :func:`select_first_match` picks the branch per point: the first region in
 branch order that holds ``(t, s)`` wins, evaluated with four full-size
 conditions and ``np.select``.  :func:`green_branches` and
-:func:`green_dt_branches` stack the package's own branch terms
-(``kernel._green_terms``/``_green_dt_terms``) the same way, so the tests can
-hold each branch against :func:`branch_table` and at the seams.
+:func:`green_dt_branches` are :func:`branch_table` for G and for dG/dt, the
+one place the tests write the branch formulas.
 
 :func:`eval_tree` is the recursive tree evaluator that ``Expr.eval_array``
 used before it was compiled to a flat tape: one numpy operation per node,
@@ -54,9 +53,9 @@ the extra points were placed by ``searchsorted``: an ``argmin`` over the
 distances and a sort per inserted point.
 
 :func:`moment_weights` is the operator's moment weights as they were built
-before the kernel had a coefficient table: each branch refitted in s at
-every node from its values at ``s = 0, 1/2, 1``, then regrouped above eta by
-masked subtraction.
+before the moments were contracted through R in closed form: each branch of
+:func:`branch_table` refitted in s at every node from its values at
+``s = 0, 1/2, 1``, then regrouped above eta by masked subtraction.
 """
 from __future__ import annotations
 
@@ -68,8 +67,7 @@ import numpy as np
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
 from tripoint.gridfn import GridFunction, _hermite_basis, chebyshev_nodes, interpolate, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
-from tripoint.kernel import (ProblemParams, _check_unit, _green_dt_terms, _green_terms, _prepare,
-                             green, green_dt)
+from tripoint.kernel import ProblemParams, _check_unit, green, green_dt
 from tripoint.solver import RESIDUAL_GRID, RESIDUAL_SKIP, SolveConfig, SolveError, _initial_state
 from tripoint.verify import ConeMembershipReport
 
@@ -141,26 +139,19 @@ def select_first_match(p, t, s, branches):
     return np.select(conds, list(np.moveaxis(branches, -1, 0)))
 
 
-def _table(p, t, s, terms):
-    t_arr, s_arr, _ = _prepare(t, s)
-    b, den = terms(p, t_arr, s_arr)
-    return np.stack(np.broadcast_arrays(*b), axis=-1) / den
-
-
 def green_branches(p, t, s):
     """Evaluate all four branch formulas of G at (t, s), regardless of region.
 
     Returns an array with a trailing axis of length 4 in branch order.  Only
     the branch whose region contains (t, s) equals G there; adjacent branches
     agree on the seams ``s = t`` and ``s = eta`` (an algebraic identity).
-    Unlike :func:`branch_table`, this reads the package's own branch terms.
     """
-    return _table(p, t, s, _green_terms)
+    return branch_table(p, t, s)
 
 
 def green_dt_branches(p, t, s):
     """Branch formulas of dG/dt at (t, s); same layout as :func:`green_branches`."""
-    return _table(p, t, s, _green_dt_terms)
+    return branch_table(p, t, s, dt=True)
 
 
 KERNELS = ("G", "dG")
@@ -370,13 +361,12 @@ def solver_nodes_reference(n, p):
 
 def _refit_coefficients(p, t, dt):
     # s^0, s^1, s^2 coefficients (4, 3, nodes) from the values at s = 0, 1/2, 1
-    terms = _green_dt_terms if dt else _green_terms
     out = np.empty((4, 3) + t.shape)
-    (v0, den), (vh, _), (v1, _) = (terms(p, t, s) for s in (0.0, 0.5, 1.0))
+    v0, vh, v1 = (np.moveaxis(branch_table(p, t, s, dt), -1, 0) for s in (0.0, 0.5, 1.0))
     for c, a, b, e in zip(out, v0, vh, v1):
-        c[0] = a / den
-        c[1] = (4 * b - 3 * a - e) / den
-        c[2] = (2 * (a + e) - 4 * b) / den
+        c[0] = a
+        c[1] = 4 * b - 3 * a - e
+        c[2] = 2 * (a + e) - 4 * b
     return out
 
 

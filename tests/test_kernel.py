@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import branch_table, green_branches, green_dt_branches, select_first_match
+from oracles import green_branches, green_dt_branches, select_first_match
 from tripoint import (
     ProblemParams,
     g0_bound,
@@ -136,26 +136,6 @@ def test_branch_continuity_random_params(p):
             assert abs(vals[b_lo] - vals[b_hi]) <= 1e-12
 
 
-@settings(max_examples=60)
-@given(
-    admissible_params(),
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
-    st.floats(0.0, 1.0),
-)
-def test_branch_coefficients_reproduce_the_branches(p, t, s):
-    from tripoint.kernel import _coefficient_table
-
-    t = np.array(t)
-    # branch, kernel, power of s, t
-    coef = np.stack([_coefficient_table(p, dt) @ [t**0, t, t**2] for dt in (False, True)], axis=1)
-    assert coef.shape == (4, 2, 3, t.size)
-    powers = s ** np.arange(3.0)
-    for j, branches in enumerate((green_branches, green_dt_branches)):
-        got = np.einsum("bkn,k->nb", coef[:, j], powers)
-        scale = np.max(np.abs(coef[:, j]))
-        assert np.max(np.abs(got - branches(p, t, s))) <= 1e-14 * scale
-
-
 def test_seam_selection_is_value_irrelevant(params):
     # the selected value equals both adjacent branch formulas at exact ties
     for ti in (0.2, 0.5, 0.8):
@@ -178,8 +158,7 @@ def test_kernels_match_first_match_selection_bitwise(p, t_extra, s_extra):
     t = np.array([0.0, p.eta / p.alpha, p.eta, 1.0, *t_extra])
     s = np.array([*s_extra, *t])
     T, S = np.meshgrid(t, s, indexing="ij")
-    for kernel, branches, dt in ((green, green_branches, False), (green_dt, green_dt_branches, True)):
-        assert branches(p, T, S).tobytes() == branch_table(p, T, S, dt).tobytes()
+    for kernel, branches in ((green, green_branches), (green_dt, green_dt_branches)):
         ref = select_first_match(p, T, S, branches(p, T, S))
         for got in (kernel(p, t[:, None], s[None, :]), kernel(p, T, S)):
             assert got.shape == ref.shape
@@ -262,24 +241,26 @@ def _docstring_branches(a, e):
 
 @pytest.mark.parametrize("alpha, eta", [("3/2", "1/2"), ("5/2", "3/10"), ("6/5", "7/10")])
 def test_coefficient_table_matches_the_paper_formulas(alpha, eta):
-    from tripoint.kernel import _coefficient_table
+    from tripoint.kernel import _r_coefficients
 
     a, e = sympy.Rational(alpha), sympy.Rational(eta)
     (s, t), g, dg = _docstring_branches(a, e)
+    A, gap = sympy.symbols("alpha gap")
+    r_lo, r_hi = sympy.Rational(1, 2) + (A - 1) / (2 * gap) * s, (1 - s) / (2 * gap)
+    # t^2 R(s) - (t-s)_+^2 / 2 and 2t R(s) - (t-s)_+ on the regions of the four
+    # branches: s <= min(eta, t), t <= s <= eta, eta <= s <= t, max(eta, t) <= s
+    for b, (r, ramp) in enumerate(((r_lo, t - s), (r_lo, 0), (r_hi, t - s), (r_hi, 0))):
+        r = r.subs({A: a, gap: 1 - a * e})
+        assert sympy.simplify(t**2 * r - ramp**2 / 2 - g[b]) == 0
+        assert sympy.simplify(2 * t * r - ramp - dg[b]) == 0
+    # the helper's (lo0, lo1, hi) within an ulp of R's exact coefficients, with
+    # 1 - alpha*eta taken as the float p.gap, as in the package
     p = ProblemParams(float(a), float(e))
-    tables = []
-    for dt, branches in ((False, g), (True, dg)):
-        exact = np.array([[[float(sympy.Poly(b, s, t).coeff_monomial(s**k * t**j))
-                            for j in range(3)] for k in range(3)] for b in branches])
-        tables.append(_coefficient_table(p, dt))
-        assert tables[-1].shape == (4, 3, 3)
-        # a few ulps of the table's scale
-        scale = np.max(np.abs(exact))
-        assert np.max(np.abs(tables[-1] - exact)) <= 4 * np.finfo(float).eps * scale
-    # dG/dt is G differentiated in t: C'[b, k, j] = (j + 1) C[b, k, j + 1]
-    table, table_dt = tables
-    assert np.all(table_dt[:, :, 2] == 0.0)
-    assert np.allclose(table_dt[:, :, :2], table[:, :, 1:] * [1.0, 2.0], rtol=0, atol=1e-14 * scale)
+    at_p = {A: sympy.Rational(Fraction(p.alpha)), gap: sympy.Rational(Fraction(p.gap))}
+    lo, hi = sympy.expand(r_lo), sympy.expand(r_hi)
+    for got, coeff in zip(_r_coefficients(p), (lo.coeff(s, 0), lo.coeff(s, 1), -hi.coeff(s, 1))):
+        err = sympy.Rational(Fraction(got)) - coeff.subs(at_p)
+        assert abs(err) <= sympy.Rational(Fraction(np.spacing(got)))
 
 
 def _exact_kernel(p, t, s, dt):
@@ -319,7 +300,7 @@ def test_closed_form_matches_the_exact_branches(p, extra):
 @given(admissible_params())
 def test_closed_form_keeps_relative_accuracy_as_s_tends_to_1(p):
     # on branch 4 (s above eta and t) G = t^2 (1-s) / (2(1-alpha*eta)); R is
-    # expanded about s = 1, so G stays within a few ulps of itself, not of 1/gap
+    # hi*(1-s) above eta, so G stays within a few ulps of itself, not of 1/gap
     s = 1.0 - np.logspace(-1, -15, 29)
     s = s[s > p.eta]
     for kernel, dt in ((green, False), (green_dt, True)):
@@ -332,22 +313,11 @@ def test_closed_form_keeps_relative_accuracy_as_s_tends_to_1(p):
 @settings(max_examples=60)
 @given(admissible_params(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
 def test_kernels_vanish_exactly_at_t0_s0_and_s1(p, u):
-    # R(0) = 1/2 and R1(0) = 1 in the table, and R(1) = R1(1) = 0
+    # R(0) = 1/2 and R1(0) = 1 exactly, and R(1) = R1(1) = 0
     u = np.array(u)
     for kernel in (green, green_dt):
         for t, s in ((0.0, u), (u, 0.0), (u, 1.0)):
             assert np.all(kernel(p, t, s) == 0.0)
-
-
-def test_coefficient_table_is_fitted_once_and_read_only():
-    from tripoint.kernel import _coefficient_table
-
-    for dt in (False, True):
-        table = _coefficient_table(ProblemParams(2.0, 1 / 3), dt)
-        assert _coefficient_table(ProblemParams(2.0, 1 / 3), dt) is table
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize(

@@ -281,21 +281,22 @@ def test_divergent_system_reports_nonconvergence(params):
 
 
 def test_state_overflow_is_a_solve_error_without_warnings(params):
-    # the divergent system, run until the state no longer fits in a float
+    # divergent systems, run until the state no longer fits in a float
     import warnings
 
     cfg = SolveConfig(nodes=17, max_iters=200, initial=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SolveError) as exc:
-            solve(params, parse("100*y"), parse("100*y"), cfg)
-    message = str(exc.value)
-    assert "non-finite state samples: overflow" in message
-    assert f"iteration {exc.value.iteration}" in message
+    for src in ("100*y", "1e3*y+yp"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolveError) as exc:
+                solve(params, parse(src), parse(src), cfg)
+        message = str(exc.value)
+        assert "non-finite state samples: overflow" in message
+        assert f"iteration {exc.value.iteration}" in message
 
 
 @pytest.mark.parametrize("alpha, f, h, initial, nodes, iteration", [
-    (1.5, "1e3*y+yp", "1e3*y+yp", 1.0, 17, None),  # overflows after many sweeps
+    (1.998, "1e5*y+yp", "1e5*y+yp", 1.0, 17, None),  # overflows after many sweeps
     (1.998, "1e306", "1", "zero", 65, 1),
 ])
 def test_operator_overflow_is_a_solve_error_without_warnings(alpha, f, h, initial, nodes,
