@@ -189,7 +189,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for text in args.direction:
             phi_src, psi_src = _split_direction(text)
             directions.append((_direction_callable(phi_src), _direction_callable(psi_src)))
-    scales = np.geomspace(args.scale_min, args.scale_max, args.scale_count)
+    # an inf or NaN end makes non-finite scales, which growth_scan rejects
+    with np.errstate(all="ignore"):
+        scales = np.geomspace(args.scale_min, args.scale_max, args.scale_count)
     results = [(name, growth_scan(e, directions=directions, scales=scales)) for name, e in exprs]
     header = "scale" + "".join(f"  ratio_{name}" for name, _ in results)
     print(header)

@@ -9,7 +9,8 @@ stated envelopes with a small absolute slack for rounding:
 * ``dG/dt(t,s) >= k1*g1(s)``          on [eta/alpha, eta] x [0,1]
 
 The sweep evaluates the kernels on blocks of rows, a ``(b, 1)`` t-column
-against the ``(1, m)`` s-row, and keeps a running worst point per check, so no
+against the ``(1, m)`` s-row, grades each kernel block into two block buffers
+allocated once per call, and keeps a running worst point per check, so no
 array of the full grid is built.  These are grid sweeps, not proofs; a PASS
 means no violation beyond the slack was found at the requested resolution.
 The growth scan likewise only samples ratio curves along user-chosen
@@ -95,16 +96,18 @@ def certify_kernel(
     """Grade the four kernel inequalities on grid_n x grid_n sweeps.
 
     The t-grid is swept in blocks of ``b`` rows, about ``_BLOCK_POINTS``
-    points each, so no array of the full grid is built.  Each check keeps a
-    running worst ``(violation, t, s)``; a later block replaces it only when
-    strictly larger, and a NaN, once found, is never replaced.  That is the
-    point ``np.argmax`` picks on the full grid: the first maximum in row-major
-    order, or the first NaN.
+    points each, so no array of the full grid is built.  Two block buffers are
+    allocated once per call, and every check is graded into them as soon as
+    its kernel returns.  Each check keeps a running worst ``(violation, t, s)``;
+    a later block replaces it only when strictly larger, and a NaN, once
+    found, is never replaced.  That is the point ``np.argmax`` picks on the
+    full grid: the first maximum in row-major order, or the first NaN.
 
     ``green_fn``/``green_dt_fn`` exist so the harness itself can be exercised
     against a deliberately corrupted kernel.  They are called with
     broadcastable ``(b, 1)`` t-columns and a ``(1, m)`` s-row and must return
     the broadcast ``(b, m)`` block, as :func:`~tripoint.kernel.green` does.
+    Their returns are only read, so they may be cached or read-only.
     """
     if grid_n < MIN_GRID:
         raise ValueError(f"grid too coarse: grid_n must be >= {MIN_GRID}")
@@ -113,16 +116,23 @@ def certify_kernel(
     S = sg[None, :]
     g0 = g0_bound(p, S)
     g1 = g1_bound(p, S)
-    k0g0, k1g1 = p.k0 * g0, p.k1 * g1
+    # per check, in report order: kernel, t-grid, envelope, and whether the
+    # envelope bounds the kernel above (with 0 below) or is a cone lower bound
+    plan = ((green_fn, tg, g0, True), (green_fn, tw, p.k0 * g0, False),
+            (green_dt_fn, tg, g1, True), (green_dt_fn, tw, p.k1 * g1, False))
     rows = max(1, _BLOCK_POINTS // grid_n)
+    buf = np.empty((2, min(rows, grid_n), grid_n))
     worst = [None] * 4
     for lo in range(0, grid_n, rows):
-        T, Tw = tg[lo:lo + rows, None], tw[lo:lo + rows, None]
-        G, D = green_fn(p, T, S), green_dt_fn(p, T, S)
-        Gw, Dw = green_fn(p, Tw, S), green_dt_fn(p, Tw, S)
-        graded = ((np.maximum(-G, G - g0), tg), (k0g0 - Gw, tw),
-                  (np.maximum(-D, D - g1), tg), (k1g1 - Dw, tw))
-        for c, (violation, ts) in enumerate(graded):
+        a, b = buf[:, :min(rows, grid_n - lo)]
+        for c, (kernel, ts, env, upper) in enumerate(plan):
+            K = kernel(p, ts[lo:lo + rows, None], S)
+            if upper:  # max(-K, K - env), in that operand order for NaNs and zeros
+                np.subtract(K, env, out=a)
+                violation = np.maximum(np.negative(K, out=b), a, out=b)
+            else:
+                violation = np.subtract(env, K, out=a)
+            del K  # freed before the next kernel call: one output alive at a time
             k = int(np.argmax(violation))
             v = float(violation.flat[k])
             w = worst[c]
@@ -222,8 +232,9 @@ def growth_scan(
     """
     dirs = list(directions) if directions is not None else _default_directions()
     sc = np.asarray(scales if scales is not None else np.geomspace(1e-6, 1e6, 25), dtype=float)
-    if sc.size == 0 or np.any(sc <= 0) or np.any(np.diff(sc) <= 0):
-        raise ValueError("scales must be positive and strictly increasing")
+    # finiteness first: a NaN fails no comparison, and np.diff of infinities warns
+    if sc.size == 0 or not np.isfinite(sc).all() or np.any(sc <= 0) or np.any(np.diff(sc) <= 0):
+        raise ValueError("scales must be positive, finite and strictly increasing")
     tg = np.linspace(0.0, 1.0, _SCAN_T_POINTS)
     profiles = []
     for phi, psi in dirs:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ def test_scan_rejects_unknown_variable(capsys):
 def test_scan_rejects_state_variables_in_direction(capsys):
     assert main(["scan", "--f", "y+yp", "--direction", "y,1"]) == 1
     assert "variable t" in capsys.readouterr().err
+
+
+def test_scan_rejects_non_finite_scale_ends(capsys):
+    # an infinite or NaN end makes non-finite scales: rejected as scales, with
+    # no numpy warning, instead of blaming the expression at scale c=inf
+    for flag, end in (("--scale-max", "inf"), ("--scale-min", "nan")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["scan", "--f", "1+y", flag, end]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scales must be positive, finite"), err
+        assert "Warning" not in err and caught == [], [str(w.message) for w in caught]
 
 
 def test_scan_requires_a_source(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from oracles import cone_membership_reference, green_branches, green_dt_branches, select_first_match
@@ -182,6 +184,44 @@ def test_certify_allocates_less_than_one_grid(params):
     assert peak < 801 * 801 * 8
 
 
+def test_certify_only_reads_the_kernel_outputs(params, monkeypatch):
+    import tripoint.verify as verify
+
+    # a kernel may hand back a cached or read-only block: grading must not write it
+    def read_only(kernel):
+        def wrapped(p, t, s):
+            out = kernel(p, t, s)
+            out.setflags(write=False)
+            return out
+        return wrapped
+
+    kernels = dict(green_fn=read_only(green), green_dt_fn=read_only(green_dt))
+    for p in (params, ProblemParams(2.0, 1 / 3)):
+        got = _graded(certify_kernel(p, grid_n=401, **kernels))
+        assert got == _meshgrid_certification(p, 401), (p.alpha, p.eta)
+    # three rows per block at grid 23: the short last block reads a buffer slice
+    monkeypatch.setattr(verify, "_BLOCK_POINTS", 3 * 23)
+    for p in (params, ProblemParams(2.0, 1 / 3)):
+        got = _graded(certify_kernel(p, grid_n=23, **kernels))
+        assert got == _meshgrid_certification(p, 23), (p.alpha, p.eta)
+
+
+def test_certify_peaks_below_eight_block_arrays(params):
+    import tracemalloc
+
+    import tripoint.verify as verify
+
+    block = (verify._BLOCK_POINTS // 801) * 801 * 8
+    certify_kernel(params, grid_n=801)  # warm: first-call caches do not count
+    tracemalloc.start()
+    try:
+        certify_kernel(params, grid_n=801)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * block, peak / block
+
+
 def test_certify_report_serializes(params):
     report = certify_kernel(params, grid_n=51)
     d = report.to_dict()
@@ -359,6 +399,15 @@ def test_scan_validates_scales_and_directions(f_example):
     neg = lambda t: -np.ones_like(t)
     with pytest.raises(ValueError, match="nonnegative"):
         growth_scan(f_example, directions=[(neg, neg)], scales=np.array([1.0, 2.0]))
+
+
+def test_scan_rejects_non_finite_scales(f_example):
+    # NaN fails every comparison and inf - inf warns: both are caught up front
+    for bad in ([1.0, np.nan, 3.0], [1.0, np.inf], [np.inf, np.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scales must be positive, finite and strictly"):
+                growth_scan(f_example, scales=np.array(bad))
 
 
 def test_scan_errors_carry_scale_and_position():
