@@ -312,7 +312,7 @@ class Workspace:
         elif rows.shape != shape:
             raise ValueError(f"the sources need rows of shape {shape}, got {rows.shape}")
         else:
-            rows = [r.reshape(t.shape) for r in rows]
+            rows = list(rows.reshape(shape[:1] + t.shape))
         self.slots: dict = {}  # tape -> its slot list over these rows
         at = max((e._tape.n_regs for e in sources), default=0)
         for tape in dict.fromkeys(e._tape for e in sources):

@@ -11,6 +11,7 @@ quadratic polynomials are reproduced exactly everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,20 +33,24 @@ class GridFunction:
     derivs: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.nodes)
+        nodes, values, derivs = self.nodes, self.values, self.derivs
+        # an ndarray's own shape; np.shape only for lists, tuples and scalars
+        shape = nodes.shape if type(nodes) is np.ndarray else np.shape(nodes)
         if len(shape) != 1 or shape[0] < 2:
             raise ValueError("need a one-dimensional node set with at least 2 nodes")
-        if np.shape(self.values) != shape or np.shape(self.derivs) != shape:
+        if ((values.shape if type(values) is np.ndarray else np.shape(values)) != shape
+                or (derivs.shape if type(derivs) is np.ndarray else np.shape(derivs)) != shape):
             raise ValueError("values and derivs must match the node set in shape")
-        block = np.array((self.nodes, self.values, self.derivs), dtype=float)
+        block = np.array((nodes, values, derivs), dtype=float)
         if not np.isfinite(block).all():
             raise ValueError("nodes, values and derivs must be finite")
-        nodes = block[0]
+        block.setflags(write=False)  # before the rows are taken: views keep their flags
+        nodes, values, derivs = block
         if nodes[0] != 0.0 or nodes[-1] != 1.0 or (nodes[1:] <= nodes[:-1]).any():
             raise ValueError("nodes must increase strictly from 0.0 to 1.0")
-        block.setflags(write=False)
-        for name, row in zip(("nodes", "values", "derivs"), block):
-            object.__setattr__(self, name, row)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "derivs", derivs)
 
     @classmethod
     def zeros(cls, nodes) -> "GridFunction":
@@ -106,13 +111,19 @@ def interpolate(g: GridFunction, t):
     return (float(value), float(deriv)) if np.ndim(t) == 0 else (value, deriv)
 
 
+@lru_cache(maxsize=16)
 def chebyshev_nodes(n: int) -> np.ndarray:
-    """n Chebyshev extrema mapped to [0, 1], endpoints exact."""
+    """n Chebyshev extrema mapped to [0, 1], endpoints exact.
+
+    The array is cached per ``n`` and read-only; a caller that edits the
+    nodes works on a copy, as :func:`solver_nodes` does.
+    """
     if n < 2:
         raise ValueError("need at least 2 nodes")
     k = np.arange(n)
     x = (1.0 - np.cos(np.pi * k / (n - 1))) / 2.0
     x[0], x[-1] = 0.0, 1.0
+    x.setflags(write=False)
     return x
 
 
@@ -120,9 +131,10 @@ def solver_nodes(n: int, p: ProblemParams) -> np.ndarray:
     """Chebyshev nodes augmented with eta/alpha and eta.
 
     The two extra points anchor the window [eta/alpha, eta] used by the cone
-    checks, so those checks read exact node data.
+    checks, so those checks read exact node data.  The result is a fresh
+    writable array, never the cached Chebyshev nodes.
     """
-    x = chebyshev_nodes(n)
+    x = chebyshev_nodes(n).copy()
     for extra in (p.eta / p.alpha, p.eta):
         k = int(x.searchsorted(extra))  # x[k - 1] < extra <= x[k]
         i = k - 1 if extra - x[k - 1] <= x[k] - extra else k  # nearest, ties low

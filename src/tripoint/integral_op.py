@@ -36,9 +36,11 @@ sets a solve's error; orders 3 and 8 give the same error (README table).
 A solve builds one :class:`_MomentOperator` for its parameters, node set and
 sources, and a half-sweep is one call ``op(src, values, derivs)`` from the
 state's node data to the output's, under one floating-point guard;
-:func:`apply_operator` wraps it for grid functions.  A warm half-sweep
-allocates no array, and the t-only parts of each source, such
-as ``t^2+1``, are evaluated at its first half-sweep and kept for the solve.
+:func:`apply_operator` wraps it for grid functions.  At a few hundred
+quadrature points a half-sweep costs its number of numpy calls, so it makes
+few (:class:`_MomentOperator`).  A warm half-sweep allocates no array, and
+the t-only parts of each source, such as ``t^2+1``, are evaluated at its
+first half-sweep and kept for the solve.
 """
 from __future__ import annotations
 
@@ -128,24 +130,30 @@ class _MomentOperator:
     One block holds everything a half-sweep needs beyond the state and the
     source: the samples, the node-data stack, the cumulative moments, ``t^2``,
     the outputs, the panel widths and the sources' workspace rows
-    (:attr:`work`).  A half-sweep contracts the moments at eta and 1 with R's
-    three coefficients into the scalar ``c``, then evaluates the module
-    docstring's closed forms at every node.  The arrays :meth:`sample` and a
-    call return are overwritten by the next half-sweep.
+    (:attr:`work`).  A half-sweep reduces the three moments' panel sums into
+    the rows of one (3, m) buffer, cumulates all three with one
+    ``np.add.accumulate`` along the rows, and contracts the four Python floats
+    ``P_0``, ``P_1`` at eta and 1 with R's three coefficients into the scalar
+    ``c``; an overflow there is repeated in numpy scalars, which raise it
+    under the guard.  It then evaluates the module docstring's closed forms
+    at every node.  The arrays :meth:`sample` and a call return are
+    overwritten by the next half-sweep.
     """
 
     def __init__(self, p: ProblemParams, nodes: np.ndarray, sources: tuple[Expr, ...] = ()):
-        if p.eta not in nodes:
+        # the nodes increase, so eta is a node exactly when it sits at its insertion point
+        self.eta_pos = int(nodes.searchsorted(p.eta))
+        if self.eta_pos == nodes.size or nodes[self.eta_pos] != p.eta:
             raise ValueError("the node set must contain eta")
         self.p = p
         self.nodes = nodes
         m, q = nodes.size - 1, _QUAD_POINTS
         n_rows = Workspace.rows_for(sources)
         # one block: Gauss points and weights, sampled values and slopes
-        # (q x m each), the node-data stack (4 x m), panel sums (m),
+        # (q x m each), the node-data stack (4 x m), panel sums (3 x m),
         # cumulative moments (3 x (m+1)), t^2 and the outputs (3 x (m+1)),
         # the panel widths (m) and the source registers
-        shapes = [(q, m)] * 4 + [(4, m), (m,), (3, m + 1), (3, m + 1), (m,), (n_rows, q * m)]
+        shapes = [(q, m)] * 4 + [(4, m), (3, m), (3, m + 1), (3, m + 1), (m,), (n_rows, q * m)]
         block, views, end = np.empty(sum(map(math.prod, shapes))), [], 0
         for sh in shapes:
             views.append(block[end : end + math.prod(sh)].reshape(sh))
@@ -156,7 +164,6 @@ class _MomentOperator:
         self._cums[:, 0] = 0.0
         self.s_flat = self.s.ravel()
         self.work = Workspace(self.s_flat, sources, rows)
-        self.eta_pos = int(np.searchsorted(nodes, p.eta))
         np.subtract(nodes[1:], nodes[:-1], out=self.h)
         self.basis, self.slope_basis = _gauss_basis(q)
         np.multiply(nodes, nodes, out=self.t2)
@@ -177,6 +184,11 @@ class _MomentOperator:
         stack[3] = d1
         np.matmul(self.slope_basis, stack, out=self._ders)
         return self._vals.ravel(), self._ders.ravel()
+
+    def _contract(self, e0, e1, f0, f1):
+        # c = integral_0^1 R src: lo0 + lo1 s up to eta, hi (1 - s) above
+        lo0, lo1, hi = self._r
+        return lo0 * e0 + lo1 * e1 + hi * ((f0 - e0) - (f1 - e1))
 
     def __call__(self, src: Expr, values: np.ndarray, derivs: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +214,22 @@ class _MomentOperator:
                     np.maximum(yp, 0.0, out=yp)
             # w * s^k * src in the source register: one multiply by s per moment
             wphi = src.eval_array(self.s_flat, y, yp, work=self.work).reshape(self.s.shape)
-            cums = self._cums
+            cums, sums = self._cums, self._panel_sum
             try:
                 np.multiply(self.w, wphi, out=wphi)
                 for k in range(3):
                     if k:
                         wphi *= self.s
-                    np.add.reduce(wphi, axis=0, out=self._panel_sum)
-                    np.add.accumulate(self._panel_sum, out=cums[k, 1:])
-                # c = integral_0^1 R src: lo0 + lo1 s up to eta, hi (1 - s) above
+                    np.add.reduce(wphi, axis=0, out=sums[k])
+                np.add.accumulate(sums, axis=1, out=cums[:, 1:])
+                # c = integral_0^1 R src from P_0, P_1 at eta and 1, in Python floats
                 p0, p1, p2 = cums
-                (e0, f0), (e1, f1) = cums[:2, (self.eta_pos, -1)]
-                lo0, lo1, hi = self._r
-                c = lo0 * e0 + lo1 * e1 + hi * ((f0 - e0) - (f1 - e1))
+                item, i = cums.item, self.eta_pos
+                ends = item(0, i), item(1, i), item(0, -1), item(1, -1)
+                c = self._contract(*ends)
+                if not math.isfinite(c):
+                    # an overflow: numpy scalars raise it as the guard's error
+                    c = self._contract(*map(np.float64, ends))
                 # t^2 (c - P_0/2) + t P_1 - P_2/2 and t (2c - P_0) + P_1
                 value, slope = self._out
                 np.multiply(p0, -0.5, out=value)
@@ -242,6 +257,7 @@ def apply_operator(p: ProblemParams, src: Expr, state: GridFunction,
     """
     if op is None:
         op = _MomentOperator(p, state.nodes, (src,))
-    elif op.p != p or op.nodes.shape != state.nodes.shape or not (op.nodes == state.nodes).all():
+    elif ((op.p is not p and op.p != p) or op.nodes.shape != state.nodes.shape
+          or not (op.nodes == state.nodes).all()):
         raise ValueError("the moment operator was built for other parameters or nodes")
     return GridFunction(state.nodes, *op(src, state.values, state.derivs))

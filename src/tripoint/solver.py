@@ -200,7 +200,7 @@ def _sweeps(
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         u_data, g = _node_data(u), _node_data(v)
         r = g - x
-        step = float(max(np.max(np.abs(u_data - u_prev)), np.max(np.abs(r))))
+        step = float(max(np.abs(u_data - u_prev).max(), np.abs(r).max()))
         history.append(step)
         if step <= cfg.tol:
             return u, v, True
@@ -296,15 +296,16 @@ def residual(
         d3 = _fd3(gv, _RES_SPACING)
         rhs = src.eval_array(t_in, np.maximum(ov[inner], 0.0), np.maximum(od[inner], 0.0),
                              work=work)
-        out.append(float(np.max(np.abs(d3 + rhs))))
+        out.append(float(np.abs(d3 + rhs).max()))
     return out[0], out[1]
 
 
 def bc_defect(p: ProblemParams, g: GridFunction) -> float:
     """max(|g(0)|, |g'(0)|, |g'(1) - alpha*g'(eta)|), with g'(eta) read at its node when
     eta is one (as on every solver node set) and interpolated otherwise."""
+    derivs = g.derivs
     k = int(g.nodes.searchsorted(p.eta))
-    d_eta = g.derivs[k] if g.nodes[k] == p.eta else interpolate(g, p.eta)[1]
+    d_eta = derivs.item(k) if g.nodes.item(k) == p.eta else interpolate(g, p.eta)[1]
     return float(
-        max(abs(g.values[0]), abs(g.derivs[0]), abs(g.derivs[-1] - p.alpha * d_eta))
+        max(abs(g.values.item(0)), abs(derivs.item(0)), abs(derivs.item(-1) - p.alpha * d_eta))
     )

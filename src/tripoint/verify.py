@@ -178,9 +178,11 @@ def cone_membership(p: ProblemParams, g: GridFunction, slack: float = 1e-9) -> C
             or min(hi - nodes[j - 1], nodes[j] - hi) > 1e-12):
         raise ValueError("node set must contain eta/alpha and eta")
     window = slice(nodes.searchsorted(lo - 1e-12), nodes.searchsorted(hi + 1e-12, side="right"))
-    nonneg_ok = bool(g.values.min() >= -slack)
-    value_margin = float(g.values[window].min() - p.k0 * np.abs(g.values).max())
-    deriv_margin = float(g.derivs[window].min() - p.k1 * np.abs(g.derivs).max())
+    values, derivs = g.values, g.derivs
+    nonneg_ok = bool(values.min() >= -slack)
+    # in Python floats: the same roundings as numpy scalars, without their overhead
+    value_margin = float(values[window].min()) - p.k0 * float(np.abs(values).max())
+    deriv_margin = float(derivs[window].min()) - p.k1 * float(np.abs(derivs).max())
     value_lower_ok = value_margin >= -slack
     deriv_lower_ok = deriv_margin >= -slack
     return ConeMembershipReport(

@@ -56,6 +56,10 @@ distances and a sort per inserted point.
 before the moments were contracted through R in closed form: each branch of
 :func:`branch_table` refitted in s at every node from its values at
 ``s = 0, 1/2, 1``, then regrouped above eta by masked subtraction.
+
+:func:`half_sweep_reference` is ``_MomentOperator.__call__`` as it was before
+its numpy calls were cut: one accumulate per moment and ``c`` from a
+fancy-indexed 2 x 2 array unpacked into numpy scalars, into fresh arrays.
 """
 from __future__ import annotations
 
@@ -349,7 +353,7 @@ def panel_points_reference(breaks, q):
 
 def solver_nodes_reference(n, p):
     """Chebyshev nodes with eta/alpha and eta snapped onto a node or sorted in."""
-    x = chebyshev_nodes(n)
+    x = chebyshev_nodes(n).copy()
     for extra in (p.eta / p.alpha, p.eta):
         i = int(np.argmin(np.abs(x - extra)))
         if abs(x[i] - extra) <= 1e-12:
@@ -443,3 +447,41 @@ def cone_membership_reference(p, g, slack=1e-9):
         k0=p.k0,
         k1=p.k1,
     )
+
+
+def half_sweep_reference(op, src, values, derivs):
+    """(values, derivs) of one half-sweep of the moment operator ``op``, in fresh arrays."""
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        try:
+            y, yp = op.sample(values, derivs)
+        except FloatingPointError as err:
+            raise EvalError(f"non-finite state samples: {err}") from err
+        if not (y.min() >= 0.0 and yp.min() >= 0.0):
+            np.maximum(y, 0.0, out=y)
+            np.maximum(yp, 0.0, out=yp)
+        wphi = src.eval_array(op.s_flat, y, yp, work=op.work).reshape(op.s.shape)
+        m = op.nodes.size - 1
+        panel_sum, cums = np.empty(m), np.zeros((3, m + 1))
+        try:
+            np.multiply(op.w, wphi, out=wphi)
+            for k in range(3):
+                if k:
+                    wphi *= op.s
+                np.add.reduce(wphi, axis=0, out=panel_sum)
+                np.add.accumulate(panel_sum, out=cums[k, 1:])
+            p0, p1, p2 = cums
+            (e0, f0), (e1, f1) = cums[:2, (op.eta_pos, -1)]
+            lo0, lo1, hi = op._r
+            c = lo0 * e0 + lo1 * e1 + hi * ((f0 - e0) - (f1 - e1))
+            value, slope = np.empty(m + 1), np.empty(m + 1)
+            np.multiply(p0, -0.5, out=value)
+            value += c
+            value *= op.nodes * op.nodes
+            value += np.multiply(op.nodes, p1, out=slope)
+            value -= np.multiply(p2, 0.5, out=slope)
+            np.subtract(2.0 * c, p0, out=slope)
+            slope *= op.nodes
+            slope += p1
+        except FloatingPointError as err:
+            raise EvalError(f"non-finite operator output: {err}") from err
+    return value, slope

@@ -32,6 +32,66 @@ def test_construction_validation():
         GridFunction(nodes, np.array([0, np.nan, 0, 0, 0.0]), np.zeros(5))
 
 
+_SHAPE_MSG = "need a one-dimensional node set with at least 2 nodes"
+_MATCH_MSG = "values and derivs must match the node set in shape"
+_FINITE_MSG = "nodes, values and derivs must be finite"
+_ORDER_MSG = "nodes must increase strictly from 0.0 to 1.0"
+
+
+def _non_finite(row, x):
+    # x at a different index of each row: nodes[0], values[2], derivs[4]
+    data = [_uniform(5), np.arange(5.0), -np.arange(5.0)]
+    data[row][2 * row] = x
+    return data, _FINITE_MSG
+
+
+_REJECTED = [
+    ((0.5, 0.5, 0.5), _SHAPE_MSG),  # 0-d
+    ((np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3))), _SHAPE_MSG),  # 2-d
+    (([0.0], [0.0], [0.0]), _SHAPE_MSG),  # one node
+    ((_uniform(5), np.zeros(4), np.zeros(5)), _MATCH_MSG),
+    ((_uniform(5), np.zeros(5), np.zeros(6)), _MATCH_MSG),
+    ((_uniform(5), np.zeros((1, 5)), np.zeros(5)), _MATCH_MSG),
+    ((_uniform(5), np.zeros((5, 2)), np.zeros(5)), _MATCH_MSG),
+    ((_uniform(5), np.zeros(5), np.zeros((5, 2))), _MATCH_MSG),
+    ((_uniform(5), 0.0, np.zeros(5)), _MATCH_MSG),
+    *(_non_finite(row, x) for row in range(3) for x in (np.nan, np.inf, -np.inf)),
+    ((np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4), np.zeros(4)), _ORDER_MSG),
+    ((np.array([0.0, 0.6, 0.4, 1.0]), np.zeros(4), np.zeros(4)), _ORDER_MSG),
+    ((_uniform(5) + 0.1, np.zeros(5), np.zeros(5)), _ORDER_MSG),  # starts above 0
+    ((_uniform(5) * 0.9, np.zeros(5), np.zeros(5)), _ORDER_MSG),  # ends below 1
+    ((_uniform(5)[::-1], np.zeros(5), np.zeros(5)), _ORDER_MSG),
+]
+
+
+def _as_input(kind, x):
+    # ndarrays take the ndarray shape path; lists, tuples and scalars np.shape's
+    x = np.asarray(x, dtype=float)
+    if kind == "ndarray":
+        return x
+    if kind == "list" or x.ndim == 0:
+        return x.tolist()
+    return tuple(x.tolist()) if x.ndim == 1 else tuple(map(tuple, x.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["ndarray", "list", "tuple", "mixed"])
+@pytest.mark.parametrize("args, message", _REJECTED)
+def test_construction_rejects_with_the_same_message_on_both_shape_paths(kind, args, message):
+    kinds = ("ndarray", "list", "tuple") if kind == "mixed" else (kind,) * 3
+    with pytest.raises(ValueError) as err:
+        GridFunction(*(_as_input(k, a) for k, a in zip(kinds, args)))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", ["list", "tuple", "mixed"])
+def test_construction_from_lists_and_tuples_matches_arrays(kind):
+    args = (_uniform(5), np.arange(5.0), -np.arange(5.0))
+    kinds = ("list", "tuple", "ndarray") if kind == "mixed" else (kind,) * 3
+    g = GridFunction(*(_as_input(k, a) for k, a in zip(kinds, args)))
+    for got, want in zip((g.nodes, g.values, g.derivs), args):
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
 def test_grid_function_is_immutable():
     g = GridFunction.zeros(_uniform(5))
     with pytest.raises(ValueError):
@@ -130,6 +190,27 @@ def test_chebyshev_nodes():
     assert x[0] == 0.0 and x[-1] == 1.0
     assert np.all(np.diff(x) > 0)
     assert np.min(np.abs(x - 0.5)) < 1e-15  # odd count puts the midpoint on the grid
+
+
+def test_chebyshev_nodes_are_cached_read_only_and_solver_nodes_copy_them():
+    n = 33
+    x = chebyshev_nodes(n)
+    assert chebyshev_nodes(n) is x and not x.flags.writeable
+    cached = x.tobytes()
+    # (1.2, 0.7) inserts both window ends; `snapped` puts eta/alpha within
+    # 1e-12 of x[i] and eta of x[j], so only the snap branch runs and nothing
+    # is concatenated: the returned array is the copy itself
+    i, j = 11, 16
+    assert x[j] ** 2 < x[i] < x[j]  # 1 < alpha < 1/eta
+    snapped = ProblemParams(x[j] / x[i] * (1 + 1e-13), x[j] + 1e-13)
+    for p in (ProblemParams(1.5, 0.5), ProblemParams(1.2, 0.7), snapped):
+        got = solver_nodes(n, p)
+        assert got.flags.writeable and not np.shares_memory(got, x)
+        want = got.tobytes()
+        got[:] = 0.25
+        assert solver_nodes(n, p).tobytes() == want
+        assert chebyshev_nodes(n) is x and x.tobytes() == cached
+    assert solver_nodes(n, snapped).size == n
 
 
 def test_solver_nodes_snap_avoids_degenerate_gaps(params):

@@ -19,9 +19,11 @@ from tripoint import (
     solver_nodes,
 )
 
-from oracles import (QuadratureRule, integrate_kernel, moment_weights, panel_points_reference,
-                     poly_bvp_solution)
+from conftest import EXAMPLE_F, EXAMPLE_H
+from oracles import (QuadratureRule, half_sweep_reference, integrate_kernel, moment_weights,
+                     panel_points_reference, poly_bvp_solution)
 from test_kernel import admissible_params
+from test_solver import _seeded_problem
 
 
 @pytest.fixture(scope="module")
@@ -457,3 +459,48 @@ def test_node_data_near_the_float_limit_raise_the_same_errors(params, src, big, 
             apply_operator(params, parse(src), GridFunction(nodes, **data))
     assert str(err.value) == message
     assert len(_clamp_messages(caplog)) == (big == "derivs")
+
+
+def _half_sweep_outcome(call):
+    # the output bytes, or the message of the EvalError it raised
+    try:
+        return tuple(a.tobytes() for a in call())
+    except EvalError as err:
+        return str(err)
+
+
+@settings(max_examples=80, deadline=None)
+@given(admissible_params(), st.integers(9, 257), st.integers(0, 2**32 - 1),
+       st.sampled_from(("bundled", "seeded")), st.booleans(), st.floats(1e-3, 10.0))
+def test_half_sweep_matches_the_reference_bit_for_bit(p, n, seed, kind, signed, scale):
+    from tripoint.integral_op import _MomentOperator
+
+    rng = np.random.default_rng(seed)
+    if kind == "bundled":
+        sources = (parse(EXAMPLE_F), parse(EXAMPLE_H))
+    else:
+        sources = _seeded_problem(seed)[1:]
+    nodes = solver_nodes(n, p)
+    op = _MomentOperator(p, nodes, sources)
+    for src in sources:
+        if signed:  # node data of both signs: the negative samples take the clamp path
+            values, derivs = scale * rng.normal(size=(2, nodes.size))
+        else:
+            g = _random_nonneg_state(nodes, rng, scale)
+            values, derivs = g.values, g.derivs
+        want = _half_sweep_outcome(lambda: half_sweep_reference(op, src, values, derivs))
+        assert _half_sweep_outcome(lambda: op(src, values, derivs)) == want
+
+
+def test_overflow_in_c_raises_the_reference_error():
+    # gap 1e-8 puts (alpha - 1) / (2 gap) = 5e7 into c, so a source of 1e303
+    # has finite moments and overflows only in c
+    from tripoint.integral_op import _MomentOperator
+
+    p = ProblemParams((1.0 - 1e-8) / 0.5, 0.5)
+    src = parse("1e303")
+    op = _MomentOperator(p, solver_nodes(17, p), (src,))
+    zeros = np.zeros(op.nodes.size)
+    want = _half_sweep_outcome(lambda: half_sweep_reference(op, src, zeros, zeros))
+    assert want == "non-finite operator output: overflow encountered in scalar multiply"
+    assert _half_sweep_outcome(lambda: op(src, zeros, zeros)) == want
