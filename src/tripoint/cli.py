@@ -95,8 +95,9 @@ def _fmt(x: float) -> str:
 def _write_csv(path: str, nodes: np.ndarray, u: GridFunction, v: GridFunction) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,u,du,v,dv\n")
-        for row in zip(nodes, u.values, u.derivs, v.values, v.derivs):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        # Python floats format faster than numpy scalars, to the same text
+        for row in zip(*(c.tolist() for c in (nodes, u.values, u.derivs, v.values, v.derivs))):
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -193,11 +194,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     with np.errstate(all="ignore"):
         scales = np.geomspace(args.scale_min, args.scale_max, args.scale_count)
     results = [(name, growth_scan(e, directions=directions, scales=scales)) for name, e in exprs]
-    header = "scale" + "".join(f"  ratio_{name}" for name, _ in results)
-    print(header)
+    print("scale" + "".join(f"  ratio_{name}" for name, _ in results))
     for i, c in enumerate(scales):
-        row = _fmt(float(c)) + "".join(f"  {_fmt(float(scan.ratios[i]))}" for _, scan in results)
-        print(row)
+        print(_fmt(c) + "".join(f"  {_fmt(scan.ratios[i])}" for _, scan in results))
     if args.out_json:
         _write_json(
             args.out_json,

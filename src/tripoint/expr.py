@@ -24,15 +24,19 @@ Evaluation is pure; domain violations (square root or logarithm of a
 negative number, division by zero) and non-finite results raise
 :class:`EvalError`.
 
+The tree's nodes are frozen slotted dataclasses, equal and hashable by their
+fields, and every parse shares one :class:`Var` leaf per variable name.
+
 An expression is compiled once, at its first evaluation, into a flat tape
 of numpy ufunc calls over a stack of registers.  The tape computes every
 node with the same operation as a walk of the tree, so results are the same
-bit for bit.  Evaluation runs in a :class:`Workspace`: a block of registers
-for fixed points ``t``, laid out once for the expressions it serves, which
-also keeps each expression's subtrees that read only ``t``.  Given one,
-repeated evaluations at those points allocate no point-sized array, and a
-result stays valid until the workspace's next evaluation; without one,
-:meth:`Expr.eval_array` builds a workspace for the call.
+bit for bit; its constants are Python floats.  Evaluation runs in a
+:class:`Workspace`: a block of registers for fixed points ``t``, laid out
+once for the expressions it serves, which also keeps each expression's
+subtrees that read only ``t``.  Given one, repeated evaluations at those
+points allocate no point-sized array, and a result stays valid until the
+workspace's next evaluation; without one, :meth:`Expr.eval_array` builds a
+workspace for the call.
 """
 from __future__ import annotations
 
@@ -86,35 +90,50 @@ class EvalError(ArithmeticError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Slotted nodes carry no instance dict: a sweep may hold a thousand parsed
+# sources of ~50 nodes each for its whole run.
+
+@dataclass(frozen=True, slots=True)
 class Num:
+    """Number literal; the parser's are nonnegative."""
+
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
+    """Variable leaf; the parser shares one per name, from ``_VARS``."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
+    """Unary minus."""
+
     operand: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bin:
+    """Binary operator ``op``, one of ``+ - * / ^``."""
+
     op: str
     lhs: "Node"
     rhs: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
+    """Call of a function in :data:`FUNCTIONS`."""
+
     func: str
     args: tuple["Node", ...]
 
 
 Node = Union[Num, Var, Neg, Bin, Call]
+
+_VARS = {name: Var(name) for name in VARIABLES}  # the leaves every parse shares
 
 
 @dataclass(frozen=True)
@@ -207,10 +226,11 @@ class _Tape:
     None for one-argument functions.  Every node runs the ufunc the tree
     names on the operands the tree gives it, so results equal a recursive
     evaluation bit for bit.  Constant-only subtrees are folded here on 0-d
-    arrays; a fold that faults is kept in ``const_error`` and raised at every
-    evaluation.  The largest subtrees that read ``t`` and no state variable
-    run first, as ``t_ops``, into hoisted rows that fixed points can keep;
-    ``ops`` computes the rest.  ``fixed`` holds the constants and a None per
+    arrays and kept as Python floats (a literal as its own value); a fold
+    that faults is kept in ``const_error`` and raised at every evaluation.
+    The largest subtrees that read ``t`` and no state variable run first, as
+    ``t_ops``, into hoisted rows that fixed points can keep; ``ops``
+    computes the rest.  ``fixed`` holds the constants and a None per
     hoisted row, in emission order.  The registers are a stack: a node
     writes register ``depth``, the number of operands to its left still in
     registers, and the result is register 0.  A hoisted subtree starts its
@@ -242,12 +262,14 @@ class _Tape:
             return VARIABLES.index(node.name)
         uses = _uses(node, self._uses)
         if not uses:
+            # a Python float is the same operand to a ufunc as a float64 scalar, in
+            # less memory; a literal's is its own value object
             try:
-                value = _fold(node)
+                value = node.value if isinstance(node, Num) else float(_fold(node))
             except FloatingPointError as err:
                 self.const_error = self.const_error or str(err)
-                value = np.asarray(0.0)
-            self.fixed.append(value[()])  # a numpy scalar: the same operand, less memory
+                value = 0.0
+            self.fixed.append(value)
             return 2 + len(self.fixed)
         t_only = uses == _T_ONLY
         hoisted = t_only and hoist
@@ -412,11 +434,17 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take(self, ops: str) -> Optional[tuple[str, str, int]]:
+        """Consume and return the next token if it is one of the operators ``ops``."""
+        tok = self.tokens[self.pos]
+        if tok[0] == "op" and tok[1] in ops:
+            self.pos += 1
+            return tok
+        return None
+
     def expect_op(self, op: str) -> None:
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", offset)
-        self.next()
+        if not self.take(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
 
     def parse(self) -> Node:
         node = self.expr()
@@ -427,43 +455,29 @@ class _Parser:
 
     def expr(self) -> Node:
         node = self.term()
-        while True:
-            kind, text, offset = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                node = self.node(Bin(text, node, self.term()), offset)
-            else:
-                return node
+        while tok := self.take("+-"):
+            node = self.node(Bin(tok[1], node, self.term()), tok[2])
+        return node
 
     def term(self) -> Node:
         node = self.unary()
-        while True:
-            kind, text, offset = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                node = self.node(Bin(text, node, self.unary()), offset)
-            else:
-                return node
+        while tok := self.take("*/"):
+            node = self.node(Bin(tok[1], node, self.unary()), tok[2])
+        return node
 
     def unary(self) -> Node:
-        kind, text, offset = self.peek()
+        offset = self.peek()[2]
         if self.nesting > MAX_DEPTH:  # every nested operand passes here
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
         self.nesting += 1
-        if kind == "op" and text == "-":
-            self.next()
-            node = self.node(Neg(self.unary()), offset)
-        else:
-            node = self.power()
+        node = self.node(Neg(self.unary()), offset) if self.take("-") else self.power()
         self.nesting -= 1
         return node
 
     def power(self) -> Node:
         base = self.atom()
-        kind, text, offset = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            return self.node(Bin("^", base, self.unary()), offset)  # right associative
+        if tok := self.take("^"):
+            return self.node(Bin("^", base, self.unary()), tok[2])  # right associative
         return base
 
     def atom(self) -> Node:
@@ -471,19 +485,14 @@ class _Parser:
         if kind == "num":
             return Num(float(text))
         if kind == "ident":
-            if text in VARIABLES:
-                return Var(text)
+            if text in _VARS:
+                return _VARS[text]
             if text in FUNCTIONS:
                 arity = FUNCTIONS[text][0]
                 self.expect_op("(")
                 args = [self.expr()]
-                while True:
-                    k, t2, _ = self.peek()
-                    if k == "op" and t2 == ",":
-                        self.next()
-                        args.append(self.expr())
-                    else:
-                        break
+                while self.take(","):
+                    args.append(self.expr())
                 self.expect_op(")")
                 if len(args) != arity:
                     raise ParseError(

@@ -69,9 +69,12 @@ def _hermite_basis(x) -> tuple[tuple, tuple]:
     """
     x2 = x * x
     x3 = x2 * x
+    # each repeated product once; only identical products are shared, since
+    # rewriting one weight through another flips the sign of zero at x = 0, 1
+    x2_3, x_6 = 3 * x2, 6 * x
     return (
-        (2 * x3 - 3 * x2 + 1, x3 - 2 * x2 + x, -2 * x3 + 3 * x2, x3 - x2),
-        (6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x, 3 * x2 - 2 * x),
+        (2 * x3 - x2_3 + 1, x3 - 2 * x2 + x, -2 * x3 + x2_3, x3 - x2),
+        (6 * x2 - x_6, x2_3 - 4 * x + 1, -6 * x2 + x_6, x2_3 - 2 * x),
     )
 
 

@@ -60,6 +60,12 @@ before the moments were contracted through R in closed form: each branch of
 :func:`half_sweep_reference` is ``_MomentOperator.__call__`` as it was before
 its numpy calls were cut: one accumulate per moment and ``c`` from a
 fancy-indexed 2 x 2 array unpacked into numpy scalars, into fresh arrays.
+
+:func:`hermite_basis_reference` is ``gridfn._hermite_basis`` as it was before
+its repeated products were shared: every weight written out on its own;
+:func:`interpolate_reference` weighs with it.  :func:`write_csv_reference` is
+the CLI's ``_write_csv`` as it was before it formatted Python floats: one
+numpy scalar per field.
 """
 from __future__ import annotations
 
@@ -69,7 +75,7 @@ from fractions import Fraction
 import numpy as np
 
 from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
-from tripoint.gridfn import GridFunction, _hermite_basis, chebyshev_nodes, interpolate, solver_nodes
+from tripoint.gridfn import GridFunction, chebyshev_nodes, interpolate, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
 from tripoint.kernel import ProblemParams, _check_unit, green, green_dt
 from tripoint.solver import RESIDUAL_GRID, RESIDUAL_SKIP, SolveConfig, SolveError, _initial_state
@@ -333,12 +339,30 @@ def interpolate_reference(g, t):
     i = np.clip(np.searchsorted(nodes, t_arr, side="right"), 1, nodes.size - 1)
     i0 = i - 1
     h = nodes[i] - nodes[i0]
-    (b0, b1, b2, b3), (s0, s1, s2, s3) = _hermite_basis((t_arr - nodes[i0]) / h)
+    (b0, b1, b2, b3), (s0, s1, s2, s3) = hermite_basis_reference((t_arr - nodes[i0]) / h)
     value = b0 * vals[i0] + b1 * h * ders[i0] + b2 * vals[i] + b3 * h * ders[i]
     deriv = s0 / h * vals[i0] + s1 * ders[i0] + s2 / h * vals[i] + s3 * ders[i]
     if scalar:
         return float(value), float(deriv)
     return value, deriv
+
+
+def hermite_basis_reference(x):
+    """The four value and four slope weights of the cubic Hermite basis at x."""
+    x2 = x * x
+    x3 = x2 * x
+    return (
+        (2 * x3 - 3 * x2 + 1, x3 - 2 * x2 + x, -2 * x3 + 3 * x2, x3 - x2),
+        (6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x, 3 * x2 - 2 * x),
+    )
+
+
+def write_csv_reference(path, nodes, u, v):
+    """The solve CSV: a header and one row of five ``.17g`` fields per node."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,u,du,v,dv\n")
+        for row in zip(nodes, u.values, u.derivs, v.values, v.derivs):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def panel_points_reference(breaks, q):

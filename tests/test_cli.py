@@ -9,8 +9,10 @@ import pytest
 
 from tripoint import SolveConfig, cli
 from tripoint.cli import DEFAULT_CONFIG, build_parser, main
+from tripoint.gridfn import GridFunction
 
 from conftest import CONFIG_DIR, EXAMPLE_F, EXAMPLE_H
+from oracles import write_csv_reference
 
 
 def _write_config(tmp_path, **overrides):
@@ -106,6 +108,27 @@ def test_csv_output_is_bit_stable(tmp_path):
     assert main(args + ["--out-csv", str(a)]) == 0
     assert main(args + ["--out-csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _special_state():
+    # signed zero, the smallest subnormal, a huge value and two values .17g
+    # must round-trip, in every column
+    special = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, 1 / 3])
+    nodes = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    u = GridFunction(nodes, special, np.roll(special, 1))
+    v = GridFunction(nodes, np.roll(special, 2), -np.roll(special, 3))
+    return nodes, u, v
+
+
+def test_csv_bytes_match_the_reference_writer(tmp_path, example_solution_fine):
+    state = example_solution_fine[1]
+    cases = [(state.nodes, state.u, state.v), _special_state()]
+    for k, (nodes, u, v) in enumerate(cases):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        cli._write_csv(str(got), nodes, u, v)
+        write_csv_reference(str(want), nodes, u, v)
+        assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().splitlines()[1] == b"0,-0,0.33333333333333331,0.30000000000000004,-1e+308"
 
 
 def test_dump_config_round_trip(tmp_path, capsys):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from tripoint.expr import Bin, Call, Expr, Neg, Num, Var, Workspace, _Tape
 
 from conftest import EXAMPLE_F, EXAMPLE_H
 from oracles import eval_tree
+from test_solver import _seeded_problem
 
 # (source, (t, y, yp), expected) -- expected values computed by hand or with
 # the math module, independently of the evaluator under test
@@ -232,6 +236,66 @@ def test_compiling_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- node layout ------------------------------------------------------------------
+
+def _nodes(node):
+    yield node
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (Num, Var, Neg, Bin, Call)):
+                yield from _nodes(child)
+
+
+def test_nodes_are_slotted_and_frozen():
+    nodes = list(_nodes(parse("-t^2 + max(y, 1.5)*yp").root))
+    assert {type(n) for n in nodes} == {Num, Var, Neg, Bin, Call}
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        field = dataclasses.fields(node)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, getattr(node, field))
+
+
+def test_parses_share_the_variable_leaves():
+    assert parse("y+y").root.lhs is parse("yp*y").root.rhs
+    leaves = {name: parse(name).root for name in ("t", "y", "yp")}
+    e = parse("t*y + sin(yp) - t")
+    assert [n for n in _nodes(e.root) if isinstance(n, Var)] == list(leaves.values()) + [leaves["t"]]
+    assert all(n is leaves[n.name] for n in _nodes(e.root) if isinstance(n, Var))
+    # equality and hashing are the fields', as before: fresh leaves build an equal tree
+    fresh = Expr(Bin("-", Bin("+", Bin("*", Var("t"), Var("y")), Call("sin", (Var("yp"),))), Var("t")))
+    assert e == fresh and hash(e) == hash(fresh)
+    assert hash(Var("y")) == hash(("y",)) and hash(e.root) == hash(("-", e.root.lhs, e.root.rhs))
+
+
+def test_tape_constants_are_python_floats():
+    # a literal, a folded subtree, and a fold that faults
+    e = parse("2.5*t + sqrt(2)*y + log(0)*yp")
+    literal = e.root.lhs.lhs.lhs
+    constants = [c for c in e._tape.fixed if c is not None]
+    assert len(constants) == 3 and all(type(c) is float for c in constants)
+    assert constants[0] is literal.value
+    assert e._tape.const_error is not None
+
+
+def _copies(e):
+    return pickle.loads(pickle.dumps(e)), copy.deepcopy(e)
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_pickle_and_deepcopy_keep_sources_and_their_bits(compiled):
+    t, y, yp = _state_arrays(3, n=129)
+    for seed in range(32):
+        for e in _seeded_problem(seed)[1:]:
+            if compiled:
+                e.eval_array(t, y, yp)
+            for c in _copies(e):
+                assert c == e and hash(c) == hash(e) and to_source(c) == to_source(e)
+                assert ("_tape" in vars(c)) == compiled  # a compiled copy runs the copied tape
+                assert c.eval_array(t, y, yp).tobytes() == e.eval_array(t, y, yp).tobytes()
 
 
 @settings(max_examples=200)

@@ -9,9 +9,10 @@ from tripoint import (
     interpolate,
     solver_nodes,
 )
-from tripoint.gridfn import chebyshev_nodes
+from tripoint.gridfn import _hermite_basis, chebyshev_nodes
 
-from oracles import c1_norm, interpolate_reference, lincomb, solver_nodes_reference
+from oracles import (c1_norm, hermite_basis_reference, interpolate_reference, lincomb,
+                     solver_nodes_reference)
 
 
 def _uniform(n):
@@ -149,6 +150,18 @@ def test_interpolation_keeps_the_reference_bits(params):
         for got, ref in zip(interpolate(g, t), interpolate_reference(g, t)):
             assert got.shape == np.shape(t)
             assert got.tobytes() == ref.tobytes()
+
+
+def test_hermite_basis_keeps_the_reference_bits():
+    # the ends, where a rewritten weight would flip the sign of a zero, the
+    # smallest subnormal and the float next below 1, then random points
+    edges = np.array([0.0, 2.0**-1074, 0.5, 1.0 - 2.0**-53, 1.0])
+    x = np.concatenate([edges, np.random.default_rng(8).uniform(size=257)])
+    for got, ref in zip(_hermite_basis(x), hermite_basis_reference(x)):
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in ref]
+    for x0 in edges:  # 0-d arrays, as the sampler builds for a scalar t
+        for got, ref in zip(_hermite_basis(np.asarray(x0)), hermite_basis_reference(np.asarray(x0))):
+            assert [np.asarray(w).tobytes() for w in got] == [np.asarray(w).tobytes() for w in ref]
 
 
 def test_interpolation_domain_error():
