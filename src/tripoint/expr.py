@@ -9,12 +9,16 @@ Grammar (EBNF)::
     atom   = NUMBER | VARIABLE | FUNCTION , "(" , expr , { "," , expr } , ")"
            | "(" , expr , ")" ;
 
-"+", "-", "*", "/" are left associative, "^" is right associative and binds
-tighter than unary minus (so ``-y^2`` means ``-(y^2)``).  There is no implicit
-multiplication.  Variables are exactly ``t``, ``y`` and ``yp`` (the solver
-binds the state value to ``y`` and the state derivative to ``yp``).  The
-supported functions are ``exp``, ``sqrt``, ``abs``, ``atan``, ``sin``,
-``cos``, ``log`` (one argument) and ``min``, ``max`` (two arguments).
+A NUMBER is a run of decimal digits and "." with an optional exponent
+(``e`` or ``E``, an optional sign, digits); a name is a run of word
+characters that does not start with a digit; any whitespace separates
+tokens.  "+", "-", "*", "/" are left associative, "^" is right associative
+and binds tighter than unary minus (so ``-y^2`` means ``-(y^2)``).  There is
+no implicit multiplication.  Variables are exactly ``t``, ``y`` and ``yp``
+(the solver binds the state value to ``y`` and the state derivative to
+``yp``).  The supported functions are ``exp``, ``sqrt``, ``abs``, ``atan``,
+``sin``, ``cos``, ``log`` (one argument) and ``min``, ``max`` (two
+arguments).
 
 Operands nest (in parentheses, function arguments, unary minus and the
 right of "^") at most ``MAX_DEPTH`` = 100 levels deep, and trees are at most
@@ -40,6 +44,7 @@ workspace for the call.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -359,168 +364,132 @@ def evaluate(e: Expr, t: float, y: float, yp: float) -> float:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^(),")
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, offset) triples; kinds: num, ident, op, end."""
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ParseError(f"malformed number {text!r}", i) from None
-            tokens.append(("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
+# \d, \w and \s match str.isdecimal, str.isalnum (or "_") and str.isspace; a
+# number takes an exponent only when digits follow it
+_TOKEN = re.compile(r"([\d.]+(?:[eE][+-]?\d+)?)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
 
 MAX_DEPTH = 100  # bound on the parser's nesting and on the tree's depth
 
+# precedence, read by the parser's loop over + - * / and by the printer
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
 
 class _Parser:
+    """Recursive descent over ``(number, name, operator, other)`` token tuples.
+
+    Each token fills one field, and an empty token ends the list.  Every step
+    returns ``(node, depth)``.  A token's character offset is looked up only
+    for an error.
+    """
+
     def __init__(self, src: str):
-        self.tokens = _tokenize(src)
+        self.src = src
+        self.tokens = _TOKEN.findall(src) + [("", "", "", "")]
         self.pos = 0
         self.nesting = 0
-        # subtree depth by node identity; no tree of MAX_DEPTH tokens or fewer is deeper
-        self.depth = {} if len(self.tokens) > MAX_DEPTH else None
 
-    def node(self, node: Node, offset: int) -> Node:
-        """Record the depth of a new operator node; refuse one deeper than MAX_DEPTH."""
-        if self.depth is not None:
-            depth = self.depth[id(node)] = 1 + max(self.depth.get(id(c), 0) for c in _op(node)[1])
-            if depth > MAX_DEPTH:
-                raise ParseError(f"expression deeper than {MAX_DEPTH} operations", offset)
-        return node
+    def error(self, message: str, at: int) -> ParseError:
+        """``message`` positioned at the offset of token ``at``."""
+        offsets = [m.start() for m in _TOKEN.finditer(self.src)] + [len(self.src)]
+        return ParseError(message, offsets[at])
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def operator(self, node: Node, below: int, at: int) -> tuple[Node, int]:
+        """An operator node over operands at most ``below`` deep, and its depth."""
+        if below >= MAX_DEPTH:
+            raise self.error(f"expression deeper than {MAX_DEPTH} operations", at)
+        return node, below + 1
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def expect(self, op: str) -> None:
+        if self.tokens[self.pos][2] != op:
+            raise self.error(f"expected {op!r}", self.pos)
         self.pos += 1
-        return tok
 
-    def take(self, ops: str) -> Optional[tuple[str, str, int]]:
-        """Consume and return the next token if it is one of the operators ``ops``."""
-        tok = self.tokens[self.pos]
-        if tok[0] == "op" and tok[1] in ops:
+    def binary(self, lowest: int = 1) -> tuple[Node, int]:
+        """Operands joined by the left-associative ``+ - * /`` of precedence ``lowest`` or more."""
+        node, depth = self.unary()
+        while (op := self.tokens[self.pos][2]) and op in "+-*/" and _PREC[op] >= lowest:
+            at = self.pos
             self.pos += 1
-            return tok
-        return None
+            rhs, below = self.binary(_PREC[op] + 1)
+            node, depth = self.operator(Bin(op, node, rhs), max(depth, below), at)
+        return node, depth
 
-    def expect_op(self, op: str) -> None:
-        if not self.take(op):
-            raise ParseError(f"expected {op!r}", self.peek()[2])
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", offset)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while tok := self.take("+-"):
-            node = self.node(Bin(tok[1], node, self.term()), tok[2])
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while tok := self.take("*/"):
-            node = self.node(Bin(tok[1], node, self.unary()), tok[2])
-        return node
-
-    def unary(self) -> Node:
-        offset = self.peek()[2]
+    def unary(self) -> tuple[Node, int]:
+        """``-`` and its operand, or an atom and an optional right-associative ``^`` operand."""
+        at = self.pos
         if self.nesting > MAX_DEPTH:  # every nested operand passes here
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", at)
         self.nesting += 1
-        node = self.node(Neg(self.unary()), offset) if self.take("-") else self.power()
+        if self.tokens[at][2] == "-":
+            self.pos += 1
+            node, depth = self.unary()
+            node, depth = self.operator(Neg(node), depth, at)
+        else:
+            node, depth = self.atom()
+            at = self.pos
+            if self.tokens[at][2] == "^":
+                self.pos += 1
+                rhs, below = self.unary()
+                node, depth = self.operator(Bin("^", node, rhs), max(depth, below), at)
         self.nesting -= 1
-        return node
+        return node, depth
 
-    def power(self) -> Node:
-        base = self.atom()
-        if tok := self.take("^"):
-            return self.node(Bin("^", base, self.unary()), tok[2])  # right associative
-        return base
-
-    def atom(self) -> Node:
-        kind, text, offset = self.next()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "ident":
-            if text in _VARS:
-                return _VARS[text]
-            if text in FUNCTIONS:
-                arity = FUNCTIONS[text][0]
-                self.expect_op("(")
-                args = [self.expr()]
-                while self.take(","):
-                    args.append(self.expr())
-                self.expect_op(")")
-                if len(args) != arity:
-                    raise ParseError(
-                        f"{text} expects {arity} argument(s), got {len(args)}", offset
-                    )
-                return self.node(Call(text, tuple(args)), offset)
-            raise ParseError(f"unknown identifier {text!r}", offset)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
+    def atom(self) -> tuple[Node, int]:
+        at = self.pos
+        num, name, op, _ = self.tokens[at]
+        self.pos += 1
+        if num:
+            return Num(float(num)), 0
+        if name in _VARS:
+            return _VARS[name], 0
+        if name in FUNCTIONS:
+            arity = FUNCTIONS[name][0]
+            self.expect("(")
+            args = [self.binary()]
+            while self.tokens[self.pos][2] == ",":
+                self.pos += 1
+                args.append(self.binary())
+            self.expect(")")
+            if len(args) != arity:
+                raise self.error(f"{name} expects {arity} argument(s), got {len(args)}", at)
+            return self.operator(Call(name, tuple(a for a, _ in args)), max(d for _, d in args), at)
+        if name:
+            raise self.error(f"unknown identifier {name!r}", at)
+        if op == "(":
+            node = self.binary()
+            self.expect(")")
             return node
-        shown = text if text else "end of input"
-        raise ParseError(f"expected a value, found {shown!r}", offset)
+        raise self.error(f"expected a value, found {op or 'end of input'!r}", at)
 
 
 def parse(src: str) -> Expr:
     """Parse source text into an :class:`Expr`; errors carry the offset."""
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
-    return Expr(_Parser(src).parse())
+    parser = _Parser(src)
+    try:
+        root, _ = parser.binary()
+        if parser.pos < len(parser.tokens) - 1:
+            num, name, op, _ = parser.tokens[parser.pos]
+            raise parser.error(f"unexpected trailing input {num or name or op!r}", parser.pos)
+    except ValueError:
+        # no step accepts a bad character or number, so an input holding one fails here;
+        # as if the tokens were checked before parsing, the first one is the error
+        for m in _TOKEN.finditer(src):
+            if m[4]:
+                raise ParseError(f"unexpected character {m[4]!r}", m.start()) from None
+            if m[1]:
+                try:
+                    float(m[1])
+                except ValueError:
+                    raise ParseError(f"malformed number {m[1]!r}", m.start()) from None
+        raise
+    return Expr(root)
 
 
 # ---------------------------------------------------------------------------
 # Printer (inverse of parse up to tree identity)
 # ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
 
 def _prec(node: Node) -> int:
     if isinstance(node, Bin):

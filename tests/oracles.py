@@ -66,15 +66,23 @@ its repeated products were shared: every weight written out on its own;
 :func:`interpolate_reference` weighs with it.  :func:`write_csv_reference` is
 the CLI's ``_write_csv`` as it was before it formatted Python floats: one
 numpy scalar per field.
+
+:func:`parse_reference` is ``expr.parse`` as it was before its tokenizer
+became one pattern and its parser one precedence loop: a per-character
+tokenizer and a five-method recursive descent that records subtree depths
+by node identity, moved here verbatim.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from tripoint.expr import FUNCTIONS, Bin, EvalError, Neg, Num, Var
+from tripoint.expr import (
+    _VARS, FUNCTIONS, Bin, Call, EvalError, Expr, Neg, Node, Num, ParseError, Var, _op,
+)
 from tripoint.gridfn import GridFunction, chebyshev_nodes, interpolate, solver_nodes
 from tripoint.integral_op import CoupledState, _MomentOperator, apply_operator, panel_points
 from tripoint.kernel import ProblemParams, _check_unit, green, green_dt
@@ -509,3 +517,159 @@ def half_sweep_reference(op, src, values, derivs):
         except FloatingPointError as err:
             raise EvalError(f"non-finite operator output: {err}") from err
     return value, slope
+
+
+_OPS = set("+-*/^(),")
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """Return (kind, text, offset) triples; kinds: num, ident, op, end."""
+    tokens = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _OPS:
+            tokens.append(("op", c, i))
+            i += 1
+            continue
+        if c.isdigit() or c == ".":
+            j = i
+            while j < n and (src[j].isdigit() or src[j] == "."):
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            text = src[i:j]
+            try:
+                float(text)
+            except ValueError:
+                raise ParseError(f"malformed number {text!r}", i) from None
+            tokens.append(("num", text, i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("ident", src[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+MAX_DEPTH = 100  # bound on the parser's nesting and on the tree's depth
+
+
+class _Parser:
+    def __init__(self, src: str):
+        self.tokens = _tokenize(src)
+        self.pos = 0
+        self.nesting = 0
+        # subtree depth by node identity; no tree of MAX_DEPTH tokens or fewer is deeper
+        self.depth = {} if len(self.tokens) > MAX_DEPTH else None
+
+    def node(self, node: Node, offset: int) -> Node:
+        """Record the depth of a new operator node; refuse one deeper than MAX_DEPTH."""
+        if self.depth is not None:
+            depth = self.depth[id(node)] = 1 + max(self.depth.get(id(c), 0) for c in _op(node)[1])
+            if depth > MAX_DEPTH:
+                raise ParseError(f"expression deeper than {MAX_DEPTH} operations", offset)
+        return node
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def take(self, ops: str) -> Optional[tuple[str, str, int]]:
+        """Consume and return the next token if it is one of the operators ``ops``."""
+        tok = self.tokens[self.pos]
+        if tok[0] == "op" and tok[1] in ops:
+            self.pos += 1
+            return tok
+        return None
+
+    def expect_op(self, op: str) -> None:
+        if not self.take(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
+
+    def parse(self) -> Node:
+        node = self.expr()
+        kind, text, offset = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", offset)
+        return node
+
+    def expr(self) -> Node:
+        node = self.term()
+        while tok := self.take("+-"):
+            node = self.node(Bin(tok[1], node, self.term()), tok[2])
+        return node
+
+    def term(self) -> Node:
+        node = self.unary()
+        while tok := self.take("*/"):
+            node = self.node(Bin(tok[1], node, self.unary()), tok[2])
+        return node
+
+    def unary(self) -> Node:
+        offset = self.peek()[2]
+        if self.nesting > MAX_DEPTH:  # every nested operand passes here
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        self.nesting += 1
+        node = self.node(Neg(self.unary()), offset) if self.take("-") else self.power()
+        self.nesting -= 1
+        return node
+
+    def power(self) -> Node:
+        base = self.atom()
+        if tok := self.take("^"):
+            return self.node(Bin("^", base, self.unary()), tok[2])  # right associative
+        return base
+
+    def atom(self) -> Node:
+        kind, text, offset = self.next()
+        if kind == "num":
+            return Num(float(text))
+        if kind == "ident":
+            if text in _VARS:
+                return _VARS[text]
+            if text in FUNCTIONS:
+                arity = FUNCTIONS[text][0]
+                self.expect_op("(")
+                args = [self.expr()]
+                while self.take(","):
+                    args.append(self.expr())
+                self.expect_op(")")
+                if len(args) != arity:
+                    raise ParseError(
+                        f"{text} expects {arity} argument(s), got {len(args)}", offset
+                    )
+                return self.node(Call(text, tuple(args)), offset)
+            raise ParseError(f"unknown identifier {text!r}", offset)
+        if kind == "op" and text == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        shown = text if text else "end of input"
+        raise ParseError(f"expected a value, found {shown!r}", offset)
+
+
+def parse_reference(src: str) -> Expr:
+    """``parse`` as it was before the token pattern and the precedence loop."""
+    if not src or not src.strip():
+        raise ParseError("empty expression", 0)
+    return Expr(_Parser(src).parse())

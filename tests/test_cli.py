@@ -131,6 +131,21 @@ def test_csv_bytes_match_the_reference_writer(tmp_path, example_solution_fine):
     assert got.read_bytes().splitlines()[1] == b"0,-0,0.33333333333333331,0.30000000000000004,-1e+308"
 
 
+def test_csv_bytes_match_the_reference_writer_on_random_bits(tmp_path):
+    # finite doubles drawn from their bit patterns: every exponent, subnormals, signed zeros
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, size=(5, 4001), dtype=np.uint64).view(float)
+    bits[~np.isfinite(bits)] = 1.0
+    bits[:, :4] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308]
+    nodes = np.linspace(0.0, 1.0, bits.shape[1])
+    u, v = GridFunction(nodes, bits[1], bits[2]), GridFunction(nodes, bits[3], bits[4])
+    for k, first in enumerate((nodes, bits[0])):  # the writer takes the node column as given
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        cli._write_csv(str(got), first, u, v)
+        write_csv_reference(str(want), first, u, v)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     base = _write_config(tmp_path, f=EXAMPLE_F, h=EXAMPLE_H)
     assert main(["solve", "--config", str(base), "--nodes", "99", "--dump-config"]) == 0

@@ -23,7 +23,7 @@ from tripoint import (
 from tripoint.expr import Bin, Call, Expr, Neg, Num, Var, Workspace, _Tape
 
 from conftest import EXAMPLE_F, EXAMPLE_H
-from oracles import eval_tree
+from oracles import eval_tree, parse_reference
 from test_solver import _seeded_problem
 
 # (source, (t, y, yp), expected) -- expected values computed by hand or with
@@ -333,6 +333,50 @@ def test_nesting_and_depth_beyond_the_limit_are_parse_errors(build, offset):
     with pytest.raises(ParseError, match="deeper than 100") as exc:
         parse(build(101))
     assert exc.value.offset == offset
+
+
+# -- parser against its reference ----------------------------------------------
+
+# ASCII tokens, fragments that merge with their neighbours into numbers and
+# names, and non-ASCII whitespace, digits, letters and a stray character
+_TOKEN_ALPHABET = [
+    "t", "y", "yp", "p", "e", "E", "x", "_", "exp", "sqrt", "abs", "atan", "sin", "cos", "log",
+    "min", "max", "+", "-", "*", "/", "^", "(", ")", ",", "0", "1", "2.5", ".", "1e3", "1E-2",
+    "1..2", "1e", "1e+", ".5", " ", "\t", "\n", "\xa0", "\u2003", "\u0663", "\xe9", "$",
+]
+
+
+def _parse_outcome(parser, src):
+    try:
+        return parser(src)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_TOKEN_ALPHABET), max_size=30).map("".join),
+    _ast_strategy().map(lambda root: to_source(Expr(root))),  # sources that parse
+))
+@example("(" * 101 + "y" + ")" * 101)
+@example("sin(" * 101 + "y" + ")" * 101)
+@example("-" * 1000 + "y")
+@example("y" + "^y" * 101)
+@example("0" + "-0" * 899)
+@example("1" + "*y" * 101)
+@example("min(" * 60 + "y" + ",y)" * 60)
+@example("-" * 100 + "y^" + "-" * 100 + "y")
+def test_parse_matches_the_reference_parser(src):
+    # the same tree, or the same message at the same offset
+    assert _parse_outcome(parse, src) == _parse_outcome(parse_reference, src)
+
+
+def test_non_ascii_digits_and_numerics():
+    # a decimal digit of any script is a digit; other numerics are rejected
+    assert parse("\u0663+y").root == Bin("+", Num(3.0), Var("y"))  # Arabic-Indic three
+    for src in ("\xb2", "\xbd", "3\xb2", "1e\xb2"):
+        with pytest.raises(ParseError):
+            parse(src)
 
 
 # -- sampled nonnegativity ----------------------------------------------------
