@@ -92,18 +92,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write(path: str, *parts: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(parts)
+    except OSError as err:
+        raise InputError(f"cannot write {path!r}: {err}") from err
+
+
 def _write_csv(path: str, nodes: np.ndarray, u: GridFunction, v: GridFunction) -> None:
     rows = np.column_stack((nodes, u.values, u.derivs, v.values, v.derivs))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,u,du,v,dv\n")
-        # one template for all rows; %.17g writes a Python float as _fmt does
-        fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
+    # one template for all rows; %.17g writes a Python float as _fmt does
+    _write(path, "t,u,du,v,dv\n",
+           "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True), "\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -178,10 +183,7 @@ def _direction_callable(src: str):
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    exprs = []
-    for key in ("f", "h"):
-        if cfg.get(key) is not None:
-            exprs.append((key, parse(str(cfg[key]))))
+    exprs = [(key, parse(str(cfg[key]))) for key in ("f", "h") if cfg.get(key) is not None]
     if not exprs:
         raise InputError("nothing to scan: provide --f and/or --h (or a config file)")
     directions = None

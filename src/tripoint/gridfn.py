@@ -2,14 +2,17 @@
 
 A :class:`GridFunction` stores samples of a continuously differentiable
 function and of its first derivative on a strictly increasing node set that
-starts at 0 and ends at 1.  The three arrays are the rows of one read-only
-``(3, n)`` block, copied and checked once at construction.  Point
-evaluation between nodes uses the piecewise cubic Hermite interpolant built
-from both arrays, so stored data is reproduced exactly at the nodes and
-quadratic polynomials are reproduced exactly everywhere.
+starts at 0 and ends at 1.  Each construction copies the values and
+derivatives into one read-only ``(2, n)`` block and checks them.  A node set
+is copied and checked once: a grid function built on another grid
+function's ``nodes`` shares them, so the grid functions of one grid hold one
+node array.  Point evaluation between nodes uses the piecewise cubic Hermite
+interpolant built from both arrays, so stored data is reproduced exactly at
+the nodes and quadratic polynomials are reproduced exactly everywhere.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,12 +23,20 @@ from .kernel import ProblemParams, _check_unit
 __all__ = ["GridFunction", "interpolate", "solver_nodes"]
 
 
+#: the node arrays grid functions have checked, by identity and held weakly; each
+#: is a read-only view of its own read-only copy, which holds no other data
+_CHECKED: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Immutable (nodes, values, derivs) triple representing a C^1 function.
 
-    The three fields are the rows of one read-only ``(3, n)`` float block
-    that holds a copy of the inputs, so a grid function never aliases them.
+    ``values`` and ``derivs`` are the rows of one read-only ``(2, n)`` float
+    block that holds a copy of the inputs.  ``nodes`` is the very array
+    passed in when it is the ``nodes`` of a grid function, which were
+    checked when they were copied; any other node input, read-only or not,
+    is copied and checked, so a grid function never aliases its inputs.
     """
 
     nodes: np.ndarray
@@ -41,13 +52,20 @@ class GridFunction:
         if ((values.shape if type(values) is np.ndarray else np.shape(values)) != shape
                 or (derivs.shape if type(derivs) is np.ndarray else np.shape(derivs)) != shape):
             raise ValueError("values and derivs must match the node set in shape")
-        block = np.array((nodes, values, derivs), dtype=float)
-        if not np.isfinite(block).all():
+        data = np.array((values, derivs), dtype=float)
+        checked = _CHECKED.get(id(nodes)) is nodes
+        if not checked:
+            nodes = np.array(nodes, dtype=float)
+        if not (np.isfinite(data).all() and (checked or np.isfinite(nodes).all())):
             raise ValueError("nodes, values and derivs must be finite")
-        block.setflags(write=False)  # before the rows are taken: views keep their flags
-        nodes, values, derivs = block
-        if nodes[0] != 0.0 or nodes[-1] != 1.0 or (nodes[1:] <= nodes[:-1]).any():
-            raise ValueError("nodes must increase strictly from 0.0 to 1.0")
+        if not checked:
+            if nodes[0] != 0.0 or nodes[-1] != 1.0 or (nodes[1:] <= nodes[:-1]).any():
+                raise ValueError("nodes must increase strictly from 0.0 to 1.0")
+            nodes.setflags(write=False)
+            nodes = nodes[:]  # a view of a read-only array cannot be made writable
+            _CHECKED[id(nodes)] = nodes
+        data.setflags(write=False)  # before the rows are taken: views keep their flags
+        values, derivs = data
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)

@@ -107,7 +107,7 @@ class CoupledState:
     v: GridFunction
 
     def __post_init__(self) -> None:
-        if not np.array_equal(self.u.nodes, self.v.nodes):
+        if self.u.nodes is not self.v.nodes and not np.array_equal(self.u.nodes, self.v.nodes):
             raise ValueError("u and v must share the same node set")
 
     @property
@@ -257,7 +257,7 @@ def apply_operator(p: ProblemParams, src: Expr, state: GridFunction,
     """
     if op is None:
         op = _MomentOperator(p, state.nodes, (src,))
-    elif ((op.p is not p and op.p != p) or op.nodes.shape != state.nodes.shape
-          or not (op.nodes == state.nodes).all()):
+    elif (op.p is not p and op.p != p) or (op.nodes is not state.nodes and (
+            op.nodes.shape != state.nodes.shape or not (op.nodes == state.nodes).all())):
         raise ValueError("the moment operator was built for other parameters or nodes")
     return GridFunction(state.nodes, *op(src, state.values, state.derivs))

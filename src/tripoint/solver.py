@@ -158,10 +158,10 @@ def _initial_state(init: Union[str, float, CoupledState], nodes: np.ndarray) -> 
     if isinstance(init, CoupledState):
         if np.array_equal(init.nodes, nodes):
             return init
-        # resample a state given on a different node set
+        # resample a state given on a different node set, onto one checked copy of it
         sample = _sampler(init.nodes, nodes)
-        return CoupledState(*(GridFunction(nodes, *sample(g.values, g.derivs))
-                              for g in (init.u, init.v)))
+        u = GridFunction(nodes, *sample(init.u.values, init.u.derivs))
+        return CoupledState(u, GridFunction(u.nodes, *sample(init.v.values, init.v.derivs)))
     if init == "zero":
         zero = GridFunction.zeros(nodes)
         return CoupledState(zero, zero)
@@ -171,21 +171,25 @@ def _initial_state(init: Union[str, float, CoupledState], nodes: np.ndarray) -> 
 
 
 def _node_data(g: GridFunction) -> np.ndarray:
-    """g's values and derivs as one 2n-vector; its max-abs entry is the C^1 norm."""
-    return np.concatenate([g.values, g.derivs])
+    """g's values and derivs as one read-only 2n-vector, a view of the block that holds
+    them; its max-abs entry is the C^1 norm."""
+    return g.values.base.ravel()
 
 
 def _sweeps(
-    op: _MomentOperator, f: Expr, h: Expr, state: CoupledState, cfg: SolveConfig,
+    p: ProblemParams, f: Expr, h: Expr, state: CoupledState, cfg: SolveConfig,
     max_iters: int, history: list[float],
 ) -> tuple[GridFunction, GridFunction, bool]:
-    """Run the secant loop on op's nodes from ``state`` until ``history`` holds
+    """Run the secant loop from ``state``, on its nodes, until ``history`` holds
     ``max_iters`` steps or a step reaches ``cfg.tol``.
 
-    Returns the last sweep's operator outputs ``(u_k, g_k)`` and whether the
-    loop converged.  Sweeps are numbered on from ``len(history)``.
+    Builds the grid's one operator on the state's nodes, which every sweep's
+    grid functions then share.  Returns the last sweep's operator
+    outputs ``(u_k, g_k)`` and whether the loop converged.  Sweeps are
+    numbered on from ``len(history)``.
     """
-    p, nodes = op.p, op.nodes
+    nodes = state.nodes
+    op = _MomentOperator(p, nodes, (f, h))
     n = nodes.size
     beta = 1.0
     fell_back = False
@@ -229,14 +233,12 @@ def solve(
     history: list[float] = []
     if (not isinstance(init, CoupledState) and max_iters > 1
             and int(cfg.nodes) - 1 >= _COARSE_RATIO * (_COARSE_NODES - 1)):
-        coarse = solver_nodes(_COARSE_NODES, p)
-        op = _MomentOperator(p, coarse, (f, h))
-        u, v, _ = _sweeps(op, f, h, _initial_state(init, coarse), cfg, max_iters - 1, history)
+        coarse = _initial_state(init, solver_nodes(_COARSE_NODES, p))
+        u, v, _ = _sweeps(p, f, h, coarse, cfg, max_iters - 1, history)
         logger.debug("coarse grid of %d nodes took %d sweeps", _COARSE_NODES, len(history))
         init = CoupledState(u, v)
-    nodes = solver_nodes(int(cfg.nodes), p)
-    op = _MomentOperator(p, nodes, (f, h))
-    u, v, converged = _sweeps(op, f, h, _initial_state(init, nodes), cfg, max_iters, history)
+    init = _initial_state(init, solver_nodes(int(cfg.nodes), p))
+    u, v, converged = _sweeps(p, f, h, init, cfg, max_iters, history)
 
     state = CoupledState(u, v)
     res_u, res_v = residual(p, state, f, h)

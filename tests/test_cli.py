@@ -265,6 +265,27 @@ def test_verify_green_output_and_exit(tmp_path, capsys):
     assert len(payload["checks"]) == 4
 
 
+def _assert_unwritable_reported(capsys, code, path):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {str(path)!r}: "), err
+    assert "Traceback" not in err
+
+
+def test_solve_reports_an_unwritable_csv_path_as_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["solve", "--config", str(CONFIG_DIR / "example.json"), "--nodes", "33",
+                 "--out-csv", str(out)])
+    _assert_unwritable_reported(capsys, code, out)
+
+
+def test_verify_green_reports_an_unwritable_json_path_as_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["verify-green", "--alpha", "1.5", "--eta", "0.5", "--grid", "101",
+                 "--out-json", str(out)])
+    _assert_unwritable_reported(capsys, code, out)
+
+
 def test_verify_green_grid_too_coarse(capsys):
     assert main(["verify-green", "--alpha", "1.5", "--eta", "0.5", "--grid", "5"]) == 1
     assert "grid too coarse" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,58 @@ def test_grid_function_does_not_alias_its_inputs():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+def test_grid_functions_built_on_checked_nodes_share_them():
+    g = GridFunction(_uniform(5), np.arange(5.0), -np.arange(5.0))
+    h = GridFunction(g.nodes, np.ones(5), np.zeros(5))
+    assert h.nodes is g.nodes and GridFunction.zeros(g.nodes).nodes is g.nodes
+    assert h.values.tobytes() == np.ones(5).tobytes() and not h.values.flags.writeable
+    # the shared nodes keep no other grid function's data alive
+    block = weakref.ref(g.values.base)
+    del g
+    assert block() is None
+    assert h.nodes.tobytes() == _uniform(5).tobytes()
+
+
+def test_read_only_nodes_that_no_grid_function_made_are_copied_and_checked():
+    cheb = chebyshev_nodes(17)
+    g = GridFunction(cheb, np.zeros(17), np.zeros(17))
+    assert g.nodes is not cheb and not np.shares_memory(g.nodes, cheb)
+    assert g.nodes.tobytes() == cheb.tobytes()
+    assert GridFunction(cheb, np.zeros(17), np.zeros(17)).nodes is not g.nodes
+    decreasing = _uniform(5)[::-1].copy()
+    decreasing.setflags(write=False)
+    for nodes in (decreasing, g.nodes[:-1], g.nodes[::-1]):
+        with pytest.raises(ValueError) as err:
+            GridFunction(nodes, np.zeros(nodes.size), np.zeros(nodes.size))
+        assert str(err.value) == _ORDER_MSG
+
+
+@pytest.mark.parametrize("values, derivs, message", [
+    (np.zeros(4), np.zeros(5), _MATCH_MSG),
+    (np.zeros(5), np.zeros(6), _MATCH_MSG),
+    (np.zeros((5, 2)), np.zeros(5), _MATCH_MSG),
+    (0.0, np.zeros(5), _MATCH_MSG),
+    ([0.0, 0.0, np.nan, 0.0, 0.0], np.zeros(5), _FINITE_MSG),
+    (np.zeros(5), [0.0, 0.0, 0.0, 0.0, -np.inf], _FINITE_MSG),
+])
+def test_shared_nodes_still_check_values_and_derivs(values, derivs, message):
+    g = GridFunction.zeros(_uniform(5))
+    with pytest.raises(ValueError) as err:
+        GridFunction(g.nodes, values, derivs)
+    assert str(err.value) == message
+
+
+def test_shared_nodes_refuse_writes():
+    g = GridFunction.zeros(_uniform(5))
+    h = GridFunction(g.nodes, np.ones(5), np.ones(5))
+    for nodes in (g.nodes, h.nodes):
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            nodes.setflags(write=True)
+    assert g.nodes.tobytes() == _uniform(5).tobytes()
 
 
 def test_interpolation_exact_at_nodes():

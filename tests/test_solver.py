@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from tripoint import (
     solve,
     solver_nodes,
 )
+from conftest import CONFIG_DIR
 from oracles import (bc_defect_reference, c1_norm, fd3_reference, interpolate_reference, lincomb,
                      picard_solve, residual_reference)
 from test_verify import _random_admissible
@@ -522,3 +525,45 @@ def test_two_grid_solve_makes_two_operator_calls_per_sweep(params, f_example, h_
     _, report = solve(params, f_example, h_example, SolveConfig(nodes=_TWO_GRID_NODES))
     assert report.converged
     assert len(calls) == 2 * report.iters
+
+
+def _example_config_problem(nodes):
+    """The committed example config's parameters, sources and settings at ``nodes``."""
+    cfg = json.loads((CONFIG_DIR / "example.json").read_text(encoding="utf-8"))
+    return (ProblemParams(cfg["alpha"], cfg["eta"]), parse(cfg["f"]), parse(cfg["h"]),
+            SolveConfig(**{**cfg["solver"], "nodes": nodes}))
+
+
+def test_solve_returns_u_and_v_on_one_node_array(example_solution):
+    state, _ = example_solution
+    assert state.u.nodes is state.v.nodes is state.nodes
+    p, f, h, cfg = _example_config_problem(_TWO_GRID_NODES)
+    state, report = solve(p, f, h, cfg)
+    assert report.converged and state.u.nodes is state.v.nodes
+    assert np.array_equal(state.nodes, solver_nodes(_TWO_GRID_NODES, p))
+
+
+def test_operator_output_shares_its_input_nodes(params, f_example, example_solution):
+    state, _ = example_solution
+    op = integral_op._MomentOperator(params, state.nodes, (f_example,))
+    for w in (apply_operator(params, f_example, state.u),
+              apply_operator(params, f_example, state.u, op=op)):
+        assert w.nodes is state.u.nodes
+
+
+def test_warm_two_grid_solve_peaks_below_66_node_arrays():
+    import tracemalloc
+
+    p, f, h, cfg = _example_config_problem(_TWO_GRID_NODES)
+    solve(p, f, h, cfg)  # fills the module caches and compiles the sources
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, report = solve(p, f, h, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    # the operator's block, the sweep's node vectors and grid functions, the
+    # resample and the grading; one node array for each grid, shared by all
+    assert peak <= 66 * 8 * (_TWO_GRID_NODES + 2)
