@@ -130,14 +130,22 @@ class _MomentOperator:
     One block holds everything a half-sweep needs beyond the state and the
     source: the samples, the node-data stack, the cumulative moments, ``t^2``,
     the outputs, the panel widths and the sources' workspace rows
-    (:attr:`work`).  A half-sweep reduces the three moments' panel sums into
+    (:attr:`work`).  Buffers that are never live at once share storage: the
+    cumulative moments take the two sample rows, which are dead once the
+    source has read them, and the panel sums and then the outputs take the
+    node-data stack, which is dead once :meth:`sample` has run; the moments'
+    zero column is rewritten on each half-sweep.  So the block is 22m+1
+    floats plus the source rows at the default order (2.13 MiB at 8193
+    nodes).  A half-sweep reduces the three moments' panel sums into
     the rows of one (3, m) buffer, cumulates all three with one
     ``np.add.accumulate`` along the rows, and contracts the four Python floats
     ``P_0``, ``P_1`` at eta and 1 with R's three coefficients into the scalar
     ``c``; an overflow there is repeated in numpy scalars, which raise it
     under the guard.  It then evaluates the module docstring's closed forms
-    at every node.  The arrays :meth:`sample` and a call return are
-    overwritten by the next half-sweep.
+    at every node.  The samples :meth:`sample` returns are overwritten by the
+    next half-sweep, and the outputs a call returns by the next call to
+    :meth:`sample`, on its own or in a half-sweep: copy them first to feed
+    them back in, as :func:`apply_operator` does.
     """
 
     def __init__(self, p: ProblemParams, nodes: np.ndarray, sources: tuple[Expr, ...] = ()):
@@ -148,22 +156,25 @@ class _MomentOperator:
         self.p = p
         self.nodes = nodes
         m, q = nodes.size - 1, _QUAD_POINTS
-        n_rows = Workspace.rows_for(sources)
-        # one block: Gauss points and weights, sampled values and slopes
-        # (q x m each), the node-data stack (4 x m), panel sums (3 x m),
-        # cumulative moments (3 x (m+1)), t^2 and the outputs (3 x (m+1)),
-        # the panel widths (m) and the source registers
-        shapes = [(q, m)] * 4 + [(4, m), (3, m), (3, m + 1), (3, m + 1), (m,), (n_rows, q * m)]
-        block, views, end = np.empty(sum(map(math.prod, shapes))), [], 0
-        for sh in shapes:
-            views.append(block[end : end + math.prod(sh)].reshape(sh))
-            end += math.prod(sh)
-        (self.s, self.w, self._vals, self._ders, self._stack, self._panel_sum, self._cums,
-         (self.t2, *self._out), self.h, rows) = views
+        qm, n_rows = q * m, Workspace.rows_for(sources)
+        # one block, by region: Gauss points and weights (q x m each); the
+        # sampled values and slopes (q x m each), then the cumulative moments
+        # (3 x (m+1)); the node-data stack (4 x m), then the panel sums (3 x m),
+        # then the outputs (2 x (m+1)); t^2, the panel widths and the source rows
+        sizes = (qm, qm, max(2 * qm, 3 * (m + 1)), 4 * m, m + 1, m, n_rows * qm)
+        block, regions, end = np.empty(sum(sizes)), [], 0
+        for size in sizes:
+            regions.append(block[end : end + size])
+            end += size
+        s, w, samples, stack, self.t2, self.h, rows = regions
+        self.s, self.w = s.reshape(q, m), w.reshape(q, m)
+        self._vals, self._ders = samples[: 2 * qm].reshape(2, q, m)
+        self._cums = samples[: 3 * (m + 1)].reshape(3, m + 1)
+        self._stack, self._panel_sum = stack.reshape(4, m), stack[: 3 * m].reshape(3, m)
+        self._out = tuple(stack[: 2 * (m + 1)].reshape(2, m + 1))  # unpacked per call
         self.s.T[:], self.w.T[:] = panel_points(nodes, q)
-        self._cums[:, 0] = 0.0
         self.s_flat = self.s.ravel()
-        self.work = Workspace(self.s_flat, sources, rows)
+        self.work = Workspace(self.s_flat, sources, rows.reshape(n_rows, qm))
         np.subtract(nodes[1:], nodes[:-1], out=self.h)
         self.basis, self.slope_basis = _gauss_basis(q)
         np.multiply(nodes, nodes, out=self.t2)
@@ -221,6 +232,7 @@ class _MomentOperator:
                     if k:
                         wphi *= self.s
                     np.add.reduce(wphi, axis=0, out=sums[k])
+                cums[:, 0] = 0.0  # P_k(0), over what the samples left
                 np.add.accumulate(sums, axis=1, out=cums[:, 1:])
                 # c = integral_0^1 R src from P_0, P_1 at eta and 1, in Python floats
                 p0, p1, p2 = cums

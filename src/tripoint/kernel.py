@@ -35,6 +35,7 @@ boundary conditions), at s = 0 and on s = 1.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,16 @@ class ProblemParams:
 def _check_unit(x: np.ndarray, name: str) -> None:
     if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
         raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def _is_real(value) -> bool:
+    """A number is a real, never a boolean, as the CLI reads it."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """A count is an integral real: an integer, or an integral float such as 801.0."""
+    return _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 def _prepare(t, s) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -46,7 +46,6 @@ dense grid), boundary-condition defects, cone membership and positivity.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
@@ -56,7 +55,7 @@ from . import verify
 from .expr import EvalError, Expr, Workspace
 from .gridfn import GridFunction, _sampler, interpolate, solver_nodes
 from .integral_op import CoupledState, _MomentOperator, apply_operator
-from .kernel import ProblemParams
+from .kernel import ProblemParams, _is_count, _is_real
 
 __all__ = ["SolveConfig", "SolveReport", "SolveError", "solve", "residual", "bc_defect"]
 
@@ -113,8 +112,7 @@ class SolveConfig:
     def validate(self) -> None:
         for name, least in (("max_iters", 1), ("nodes", 9)):
             value = getattr(self, name)
-            if not (_is_real(value) and (isinstance(value, numbers.Integral)
-                                         or float(value).is_integer())):
+            if not _is_count(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
@@ -129,11 +127,6 @@ class SolveConfig:
                 f"initial must be 'zero' or a number (or a CoupledState), got {init!r}")
         if _is_real(init) and not np.isfinite(init):
             raise ValueError(f"initial must be finite, got {init}")
-
-
-def _is_real(value) -> bool:
-    """A number is a real, never a boolean, as the CLI reads it."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -177,17 +170,20 @@ def _node_data(g: GridFunction) -> np.ndarray:
 
 
 def _sweeps(
-    p: ProblemParams, f: Expr, h: Expr, state: CoupledState, cfg: SolveConfig,
-    max_iters: int, history: list[float],
+    p: ProblemParams, f: Expr, h: Expr, init: Union[str, float, CoupledState],
+    n_nodes: int, cfg: SolveConfig, max_iters: int, history: list[float],
 ) -> tuple[GridFunction, GridFunction, bool]:
-    """Run the secant loop from ``state``, on its nodes, until ``history`` holds
-    ``max_iters`` steps or a step reaches ``cfg.tol``.
+    """Run the secant loop from the initial state ``init`` on ``solver_nodes(n_nodes, p)``
+    until ``history`` holds ``max_iters`` steps or a step reaches ``cfg.tol``.
 
-    Builds the grid's one operator on the state's nodes, which every sweep's
-    grid functions then share.  Returns the last sweep's operator
+    Builds the grid's initial state and then its one operator on the state's
+    checked nodes, which every sweep's grid functions then share; once the
+    first sweep has read the state, only v's node data stays, as the secant's
+    previous iterate.  Returns the last sweep's operator
     outputs ``(u_k, g_k)`` and whether the loop converged.  Sweeps are
     numbered on from ``len(history)``.
     """
+    state = _initial_state(init, solver_nodes(n_nodes, p))
     nodes = state.nodes
     op = _MomentOperator(p, nodes, (f, h))
     n = nodes.size
@@ -195,6 +191,7 @@ def _sweeps(
     fell_back = False
     prev_step = np.inf
     x, u_prev = _node_data(state.v), _node_data(state.u)
+    del state  # x and u_prev are all the first sweep reads of it
     secant = None  # (x, r) of the previous sweep
     for it in range(len(history) + 1, max_iters + 1):
         try:
@@ -204,7 +201,11 @@ def _sweeps(
             raise SolveError(f"evaluation failed at iteration {it}: {err}", it) from err
         u_data, g = _node_data(u), _node_data(v)
         r = g - x
-        step = float(max(np.abs(u_data - u_prev).max(), np.abs(r).max()))
+        # C^1 norms without a |.| temporary: in place on the fresh difference, and
+        # max(|max r|, |min r|) for r, which the secant step reads on
+        du = u_data - u_prev
+        step = float(max(np.abs(du, out=du).max(), abs(r.max()), abs(r.min())))
+        del du
         history.append(step)
         if step <= cfg.tol:
             return u, v, True
@@ -218,6 +219,7 @@ def _sweeps(
             drdr = float(dr @ dr)
             if drdr > 0.0:
                 x_next -= float(dr @ r) / drdr * (dx + beta * dr)
+            del dx, dr
         secant = None if restart else (x, r)
         x, u_prev, prev_step = x_next, u_data, step
     return u, v, False
@@ -233,12 +235,10 @@ def solve(
     history: list[float] = []
     if (not isinstance(init, CoupledState) and max_iters > 1
             and int(cfg.nodes) - 1 >= _COARSE_RATIO * (_COARSE_NODES - 1)):
-        coarse = _initial_state(init, solver_nodes(_COARSE_NODES, p))
-        u, v, _ = _sweeps(p, f, h, coarse, cfg, max_iters - 1, history)
+        u, v, _ = _sweeps(p, f, h, init, _COARSE_NODES, cfg, max_iters - 1, history)
         logger.debug("coarse grid of %d nodes took %d sweeps", _COARSE_NODES, len(history))
         init = CoupledState(u, v)
-    init = _initial_state(init, solver_nodes(int(cfg.nodes), p))
-    u, v, converged = _sweeps(p, f, h, init, cfg, max_iters, history)
+    u, v, converged = _sweeps(p, f, h, init, int(cfg.nodes), cfg, max_iters, history)
 
     state = CoupledState(u, v)
     res_u, res_v = residual(p, state, f, h)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import EvalError, Expr, _first_faulting_sample
 from .gridfn import GridFunction
-from .kernel import ProblemParams, g0_bound, g1_bound, green, green_dt
+from .kernel import ProblemParams, _is_count, g0_bound, g1_bound, green, green_dt
 
 __all__ = [
     "KernelCheck",
@@ -95,6 +95,9 @@ def certify_kernel(
 ) -> CertificationReport:
     """Grade the four kernel inequalities on grid_n x grid_n sweeps.
 
+    ``grid_n`` is a count, read as :class:`~tripoint.solver.SolveConfig` reads
+    one: an integer or an integral float, never a boolean or a string.
+
     The t-grid is swept in blocks of ``b`` rows, about ``_BLOCK_POINTS``
     points each, so no array of the full grid is built.  Two block buffers are
     allocated once per call, and every check is graded into them as soon as
@@ -109,8 +112,11 @@ def certify_kernel(
     the broadcast ``(b, m)`` block, as :func:`~tripoint.kernel.green` does.
     Their returns are only read, so they may be cached or read-only.
     """
+    if not _is_count(grid_n):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < MIN_GRID:
         raise ValueError(f"grid too coarse: grid_n must be >= {MIN_GRID}")
+    grid_n = int(grid_n)
     tg = sg = np.linspace(0.0, 1.0, grid_n)
     tw = np.linspace(p.eta / p.alpha, p.eta, grid_n)
     S = sg[None, :]
@@ -233,6 +239,8 @@ def growth_scan(
     cannot define a ratio and are skipped.
     """
     dirs = list(directions) if directions is not None else _default_directions()
+    if not dirs:
+        raise ValueError("directions must not be empty")
     sc = np.asarray(scales if scales is not None else np.geomspace(1e-6, 1e6, 25), dtype=float)
     # finiteness first: a NaN fails no comparison, and np.diff of infinities warns
     if sc.size == 0 or not np.isfinite(sc).all() or np.any(sc <= 0) or np.any(np.diff(sc) <= 0):

@@ -383,7 +383,6 @@ def test_cached_gauss_rule_is_read_only():
 
 
 def test_cached_gauss_basis_is_shared_and_read_only(params, f_example):
-    from tripoint.expr import Workspace
     from tripoint.gridfn import _hermite_basis
     from tripoint.integral_op import _QUAD_POINTS, _MomentOperator, _leggauss
 
@@ -398,17 +397,50 @@ def test_cached_gauss_basis_is_shared_and_read_only(params, f_example):
         assert first.tobytes() == np.column_stack(weights).tobytes()
         with pytest.raises(ValueError):
             first[0, 0] = 0.0
-    for op, src in zip(ops, sources):
-        # the views tile one block, in order, and the source registers fill the rest
-        views = (op.s, op.w, op._vals, op._ders, op._stack, op._panel_sum, op._cums, op.t2,
-                 *op._out, op.h)
-        block = op.s.base
-        start = at = block.__array_interface__["data"][0]
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("n, q", [(17, 4), (65, 4), (17, 3), (2, 2), (1, 2)])
+def test_operator_buffers_tile_one_block(params, f_example, monkeypatch, n, q):
+    from tripoint.expr import Workspace
+    from tripoint.integral_op import _MomentOperator
+
+    monkeypatch.setattr(integral_op, "_QUAD_POINTS", q)
+    # n = 1 stands for the least node set, (0, eta, 1): there the moments
+    # outgrow the two sample rows (3(m + 1) > 2qm at m = 2, q = 2)
+    nodes = np.array([0.0, params.eta, 1.0]) if n == 1 else solver_nodes(n, params)
+    op = _MomentOperator(params, nodes, (f_example,))
+    m = nodes.size - 1
+    # the regions tile one block, in order, and the source registers fill the rest:
+    # Gauss points and weights, the samples, the node-data stack, t^2 and the widths
+    block = op.s.base
+    start = at = _address(block)
+    samples = max(2 * q * m, 3 * (m + 1)) * 8
+    for view, size in ((op.s, None), (op.w, None), (op._vals, samples), (op._stack, None),
+                       (op.t2, None), (op.h, None)):
+        assert view.base is block
+        assert _address(view) == at
+        at += size or view.nbytes
+    assert start + block.nbytes - at == Workspace.rows_for((f_example,)) * op.s_flat.nbytes
+    # phase-local buffers share a region: the moments take the samples' storage,
+    # the panel sums and then the outputs take the stack's
+    assert _address(op._ders) == _address(op._vals) + op._vals.nbytes
+    for region, size, views in ((op._vals, samples, (op._ders, op._cums)),
+                                (op._stack, op._stack.nbytes, (op._panel_sum, *op._out))):
         for view in views:
             assert view.base is block
-            assert view.__array_interface__["data"][0] == at
-            at += view.nbytes
-        assert start + block.nbytes - at == Workspace.rows_for(src) * op.s_flat.nbytes
+            assert _address(region) <= _address(view)
+            assert _address(view) + view.nbytes <= _address(region) + size
+    assert _address(op._cums) == _address(op._vals)
+    assert _address(op._panel_sum) == _address(op._out[0]) == _address(op._stack)
+    # and a half-sweep still gives the reference's bits, twice over
+    g = _random_nonneg_state(nodes, np.random.default_rng(n))
+    want = _half_sweep_outcome(lambda: half_sweep_reference(op, f_example, g.values, g.derivs))
+    for _ in range(2):
+        assert _half_sweep_outcome(lambda: op(f_example, g.values, g.derivs)) == want
 
 
 def _clamp_messages(caplog):

@@ -567,3 +567,54 @@ def test_warm_two_grid_solve_peaks_below_66_node_arrays():
     # the operator's block, the sweep's node vectors and grid functions, the
     # resample and the grading; one node array for each grid, shared by all
     assert peak <= 66 * 8 * (_TWO_GRID_NODES + 2)
+
+
+def _warm_traced_solve(nodes, monkeypatch):
+    """A warm example solve at ``nodes`` under tracemalloc: its traced peak above
+    the level it started at, the same for its last grid's sweep loop, and that
+    grid's operator block in bytes."""
+    import tracemalloc
+
+    p, f, h, cfg = _example_config_problem(nodes)
+    solve(p, f, h, cfg)  # fills the module caches and compiles the sources
+    blocks, loops = [], []
+    build, sweeps = solver_module._MomentOperator, solver_module._sweeps
+
+    def operator(*args):
+        op = build(*args)
+        blocks.append(op.s.base.nbytes)  # the operator is not kept past its grid
+        return op
+
+    def traced_sweeps(*args):
+        tracemalloc.reset_peak()  # the peak of this grid alone
+        out = sweeps(*args)
+        loops.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(solver_module, "_MomentOperator", operator)
+    monkeypatch.setattr(solver_module, "_sweeps", traced_sweeps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, report = solve(p, f, h, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.converged and len(blocks) == len(loops) == 2
+    return peak, loops[-1] - before, blocks[-1]
+
+
+def test_warm_two_grid_solve_peaks_below_55_node_arrays(monkeypatch):
+    # the operator's phase-local buffers share storage, and the sweep lets the
+    # initial state and its temporaries go: ~52 arrays
+    peak, _, _ = _warm_traced_solve(_TWO_GRID_NODES, monkeypatch)
+    assert peak <= 55 * 8 * (_TWO_GRID_NODES + 2)
+
+
+def test_fine_sweep_stays_within_three_quarters_of_the_operator_block(monkeypatch):
+    # glibc trims the heap top after a solve when its free space exceeds twice
+    # the largest freed mmapped chunk, the operator's block; everything else the
+    # fine sweep holds must stay well below that block (~0.5 of it), or every
+    # large solve faults its pages back in
+    _, fine_peak, block = _warm_traced_solve(_TWO_GRID_NODES, monkeypatch)
+    assert 0 < fine_peak - block <= 0.75 * block

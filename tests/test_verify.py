@@ -36,6 +36,19 @@ def test_certify_grid_too_coarse(params):
         certify_kernel(params, grid_n=5)
 
 
+def test_certify_grid_n_is_a_count(params):
+    # an integral float is a count, as in SolveConfig; a fraction, a boolean or a
+    # string is not, and each is refused before the grid is built
+    want = certify_kernel(params, grid_n=801).to_dict()
+    assert certify_kernel(params, grid_n=801.0).to_dict() == want
+    assert certify_kernel(params, grid_n=np.int64(11)).grid_n == 11
+    for bad in (11.5, True, "801", np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"grid_n must be an integer, got "):
+            certify_kernel(params, grid_n=bad)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        certify_kernel(params, grid_n=10.0)
+
+
 def test_certify_kernel_example_params(params):
     report = certify_kernel(params, grid_n=401)
     by_name = {c.name: c for c in report.checks}
@@ -399,6 +412,14 @@ def test_scan_validates_scales_and_directions(f_example):
     neg = lambda t: -np.ones_like(t)
     with pytest.raises(ValueError, match="nonnegative"):
         growth_scan(f_example, directions=[(neg, neg)], scales=np.array([1.0, 2.0]))
+
+
+def test_scan_rejects_an_empty_direction_list(f_example):
+    # no direction would leave every ratio at -inf
+    with pytest.raises(ValueError, match="directions must not be empty"):
+        growth_scan(f_example, directions=[], scales=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="directions must not be empty"):
+        growth_scan(f_example, directions=iter(()))
 
 
 def test_scan_rejects_non_finite_scales(f_example):
