@@ -29,12 +29,14 @@ negative number, division by zero) and non-finite results raise
 :class:`EvalError`.
 
 The tree's nodes are frozen slotted dataclasses, equal and hashable by their
-fields, and every parse shares one :class:`Var` leaf per variable name.
+fields; every parse shares one :class:`Var` leaf per variable name, and
+within a parse one :class:`Num` leaf serves each spelling of a number.
 
-An expression is compiled once, at its first evaluation, into a flat tape
-of numpy ufunc calls over a stack of registers.  The tape computes every
-node with the same operation as a walk of the tree, so results are the same
-bit for bit; its constants are Python floats.  Evaluation runs in a
+An expression is compiled once, at its first evaluation, into a tape: a
+flat array of small integers, each instruction a numpy ufunc's code and its
+operands' slots, over a stack of registers.  The tape computes every node
+with the same operation as a walk of the tree, so results are the same bit
+for bit; its constants are Python floats.  Evaluation runs in a
 :class:`Workspace`: a block of registers for fixed points ``t``, laid out
 once for the expressions it serves, which also keeps each expression's
 subtrees that read only ``t``.  Given one, repeated evaluations at those
@@ -45,6 +47,8 @@ workspace for the call.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -197,14 +201,18 @@ class Expr:
 
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
+# the ufuncs a tape calls, by code, and the code of each operator, function, "neg" and "pos"
+_UFUNCS = (*_BINARY.values(), *(fn for _, fn in FUNCTIONS.values()), np.negative, np.positive)
+_CODES = {key: code for code, key in enumerate((*_BINARY, *FUNCTIONS, "neg", "pos"))}
+
 
 def _op(node: Node) -> tuple:
-    """The ufunc of an operator node and its operand nodes."""
+    """The ufunc code of an operator node and its operand nodes."""
     if isinstance(node, Neg):
-        return np.negative, (node.operand,)
+        return _CODES["neg"], (node.operand,)
     if isinstance(node, Bin):
-        return _BINARY[node.op], (node.lhs, node.rhs)
-    return FUNCTIONS[node.func][1], node.args
+        return _CODES[node.op], (node.lhs, node.rhs)
+    return _CODES[node.func], node.args
 
 
 _T_ONLY = 1  # bit of t in the masks of _uses; y and yp follow
@@ -226,21 +234,26 @@ def _uses(node: Node, memo: dict) -> int:
 class _Tape:
     """A flat post-order program for one expression tree.
 
-    Each operator node becomes one instruction ``ufunc, a, b, out`` over a
-    slot list ``[t, y, yp, fixed..., registers last to first]``; ``b`` is
-    None for one-argument functions.  Every node runs the ufunc the tree
-    names on the operands the tree gives it, so results equal a recursive
-    evaluation bit for bit.  Constant-only subtrees are folded here on 0-d
-    arrays and kept as Python floats (a literal as its own value); a fold
-    that faults is kept in ``const_error`` and raised at every evaluation.
-    The largest subtrees that read ``t`` and no state variable run first, as
-    ``t_ops``, into hoisted rows that fixed points can keep; ``ops``
-    computes the rest.  ``fixed`` holds the constants and a None per
-    hoisted row, in emission order.  The registers are a stack: a node
-    writes register ``depth``, the number of operands to its left still in
-    registers, and the result is register 0.  A hoisted subtree starts its
-    own stack at 0, as ``t_ops`` all run before ``ops``.
+    Each operator node becomes one instruction ``code, a, b, out``, where
+    ``code`` picks the ufunc from ``_UFUNCS`` and the slots index the list
+    ``[t, y, yp, fixed..., registers last to first]``; ``b`` is the list's
+    size for one-argument functions.  Each phase's instructions are one
+    ``array`` of the smallest unsigned typecode that holds that size.  Every
+    node runs the ufunc the tree names on the operands the tree gives it, so
+    results equal a recursive evaluation bit for bit.  Constant-only subtrees
+    are folded here on 0-d arrays and kept as Python floats (a literal as its
+    own value); a fold that faults is kept in ``const_error`` and raised at
+    every evaluation.  The largest subtrees that read ``t`` and no state
+    variable run first, as ``t_ops``, into hoisted rows that fixed points can
+    keep; ``ops`` computes the rest.  The tuple ``fixed`` holds the constants
+    and a None per hoisted row, in emission order.  The registers are a
+    stack: a node writes register ``depth``, the number of operands to its
+    left still in registers, and the result is register 0.  A hoisted subtree
+    starts its own stack at 0, as ``t_ops`` all run before ``ops``.
     """
+
+    # a sweep may hold a thousand compiled sources for its whole run
+    __slots__ = ("fixed", "const_error", "t_ops", "ops", "n_hoisted", "n_regs", "_uses")
 
     def __init__(self, root: Node):
         self.fixed: list = []
@@ -253,13 +266,15 @@ class _Tape:
         del self._uses
         if ref >= 0:
             # the result must be a register the caller owns; positive copies it
-            self.ops += (np.positive, ref, None, -1)
+            self.ops += (_CODES["pos"], ref, None, -1)
             self.n_regs = max(self.n_regs, 1)
-        # one flat tuple per phase keeps the tapes of a large problem set small;
-        # register k, emitted as -1 - k, gets its index >= 0, which lists read faster
+        # register k, emitted as -1 - k, gets its index >= 0, which lists read faster,
+        # and a missing second operand the slot count
         size = 3 + len(self.fixed) + self.n_regs
-        self.t_ops, self.ops = (tuple(size + x if type(x) is int and x < 0 else x for x in code)
-                                for code in (self.t_ops, self.ops))
+        typecode = "B" if size < 255 else "H" if size < 65535 else "I"
+        self.t_ops, self.ops = (array(typecode, [size if x is None else size + x if x < 0 else x
+                                                 for x in ops]) for ops in (self.t_ops, self.ops))
+        self.fixed = tuple(self.fixed)
 
     def _emit(self, node: Node, depth: int, hoist: bool) -> int:
         """Emit the instructions of ``node`` at stack ``depth``; return the slot of its value."""
@@ -278,7 +293,7 @@ class _Tape:
             return 2 + len(self.fixed)
         t_only = uses == _T_ONLY
         hoisted = t_only and hoist
-        fn, children = _op(node)
+        code, children = _op(node)
         refs, d = [], 0 if hoisted else depth
         for c in children:
             # children of a node that reads the state hoist their t-only parts
@@ -292,7 +307,7 @@ class _Tape:
             out = -1 - depth
             self.n_regs = max(self.n_regs, depth + 1)
         a, b = refs if len(refs) == 2 else (refs[0], None)
-        (self.t_ops if t_only else self.ops).extend((fn, a, b, out))
+        (self.t_ops if t_only else self.ops).extend((code, a, b, out))
         return out
 
 
@@ -303,17 +318,18 @@ def _fold(node: Node):
     """Value of a constant-only subtree, computed on 0-d arrays."""
     if isinstance(node, Num):
         return np.asarray(node.value)
-    fn, children = _op(node)
-    return fn(*(_fold(c) for c in children))
+    code, children = _op(node)
+    return _UFUNCS[code](*(_fold(c) for c in children))
 
 
-def _run(code: tuple, slots: list) -> None:
+def _run(code: array, slots: list) -> None:
+    ufuncs, unary = _UFUNCS, len(slots)
     it = iter(code)
-    for fn, a, b, o in zip(it, it, it, it):
-        if b is None:
-            fn(slots[a], out=slots[o])
+    for f, a, b, o in zip(it, it, it, it):
+        if b == unary:
+            ufuncs[f](slots[a], out=slots[o])
         else:
-            fn(slots[a], slots[b], out=slots[o])
+            ufuncs[f](slots[a], slots[b], out=slots[o])
 
 
 class Workspace:
@@ -387,6 +403,7 @@ class _Parser:
         self.tokens = _TOKEN.findall(src) + [("", "", "", "")]
         self.pos = 0
         self.nesting = 0
+        self.nums: dict = {}  # spelling -> the one Num leaf of this parse
 
     def error(self, message: str, at: int) -> ParseError:
         """``message`` positioned at the offset of token ``at``."""
@@ -439,7 +456,9 @@ class _Parser:
         num, name, op, _ = self.tokens[at]
         self.pos += 1
         if num:
-            return Num(float(num)), 0
+            if num not in self.nums:
+                self.nums[num] = Num(float(num))
+            return self.nums[num], 0
         if name in _VARS:
             return _VARS[name], 0
         if name in FUNCTIONS:
@@ -452,7 +471,9 @@ class _Parser:
             self.expect(")")
             if len(args) != arity:
                 raise self.error(f"{name} expects {arity} argument(s), got {len(args)}", at)
-            return self.operator(Call(name, tuple(a for a, _ in args)), max(d for _, d in args), at)
+            # the table's own string for the name, not a copy from the source
+            node = Call(sys.intern(name), tuple(a for a, _ in args))
+            return self.operator(node, max(d for _, d in args), at)
         if name:
             raise self.error(f"unknown identifier {name!r}", at)
         if op == "(":
@@ -501,7 +522,8 @@ def _prec(node: Node) -> int:
 
 def _print(node: Node) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        # repr gives "inf", which is no number; 1e999 overflows to it when read back
+        return "1e999" if node.value == np.inf else repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):

@@ -84,19 +84,24 @@ def _gauss_basis(q: int) -> tuple[np.ndarray, np.ndarray]:
     return basis
 
 
-def panel_points(breaks: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def panel_points(breaks: np.ndarray, q: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points and weights for the panels defined by ``breaks``.
 
     Returns arrays of shape (panels, q), the transposes of the (q, panels)
     arrays they are computed in, which is how :class:`_MomentOperator`
-    stores them.
+    stores them.  ``out``, a pair of (q, panels) arrays, receives them in
+    place of fresh ones.
     """
     gx, gw = _leggauss(q)
     a = np.asarray(breaks[:-1], dtype=float)
     b = np.asarray(breaks[1:], dtype=float)
     half = (b - a) / 2.0
     mid = (a + b) / 2.0
-    return (mid + gx[:, None] * half).T, (gw[:, None] * half).T
+    s, w = np.empty((2, q, half.size)) if out is None else out
+    np.multiply(gx[:, None], half, out=s)
+    s += mid
+    np.multiply(gw[:, None], half, out=w)
+    return s.T, w.T
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ class _MomentOperator:
         self._cums = samples[: 3 * (m + 1)].reshape(3, m + 1)
         self._stack, self._panel_sum = stack.reshape(4, m), stack[: 3 * m].reshape(3, m)
         self._out = tuple(stack[: 2 * (m + 1)].reshape(2, m + 1))  # unpacked per call
-        self.s.T[:], self.w.T[:] = panel_points(nodes, q)
+        panel_points(nodes, q, out=(self.s, self.w))
         self.s_flat = self.s.ravel()
         self.work = Workspace(self.s_flat, sources, rows.reshape(n_rows, qm))
         np.subtract(nodes[1:], nodes[:-1], out=self.h)

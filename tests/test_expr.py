@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import pickle
+from array import array
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tripoint import (
     parse,
     to_source,
 )
-from tripoint.expr import Bin, Call, Expr, Neg, Num, Var, Workspace, _Tape
+from tripoint.expr import FUNCTIONS, Bin, Call, Expr, Neg, Num, Var, Workspace, _Tape
 
 from conftest import EXAMPLE_F, EXAMPLE_H
 from oracles import eval_tree, parse_reference
@@ -150,6 +151,13 @@ def test_print_parse_round_trip(root):
     assert parse(to_source(e)) == e
 
 
+def test_overflowing_literals_print_as_numbers_that_read_back():
+    # a literal past the float range is infinity, which repr spells "inf", a name
+    e = parse("1e999*y + 2^1e400")
+    assert to_source(e) == "1e999*y+2.0^1e999"
+    assert parse(to_source(e)) == e
+
+
 # -- compiled evaluation --------------------------------------------------------
 
 def _state_arrays(seed, n=24):
@@ -226,6 +234,25 @@ def test_workspace_result_is_a_register_the_caller_may_overwrite(f_example):
         f_example.eval_array(t.copy(), y, yp, work=work)  # other points than the bound ones
 
 
+def _balanced_sum(terms):
+    # nested halves keep a long sum within the parser's depth limit
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return f"({_balanced_sum(terms[:half])})+({_balanced_sum(terms[half:])})"
+
+
+def test_wide_slot_indices_match_tree_walk():
+    # 300 distinct constants need more than 255 slots, so 16-bit slot indices;
+    # no benchmark source needs more than ~40 slots
+    e = parse(f"sqrt({_balanced_sum([f'{k}.5*y' for k in range(300)])})")
+    assert e._tape.ops.typecode == "H" and parse(EXAMPLE_F)._tape.ops.typecode == "B"
+    rng = np.random.default_rng(8)
+    t, y, yp = rng.uniform(0.0, 1.0, (3, 40))
+    _assert_matches_tree_walk(e, t, y, yp)
+    _assert_matches_tree_walk(e, t, y, yp, Workspace(t, (parse(EXAMPLE_H), e)))
+
+
 def test_compiling_leaves_no_reference_cycles():
     roots = [parse(src).root for src in (EXAMPLE_F, EXAMPLE_H, "t^2*(y+1) + sqrt(t)*yp")]
     gc.collect()
@@ -269,6 +296,42 @@ def test_parses_share_the_variable_leaves():
     fresh = Expr(Bin("-", Bin("+", Bin("*", Var("t"), Var("y")), Call("sin", (Var("yp"),))), Var("t")))
     assert e == fresh and hash(e) == hash(fresh)
     assert hash(Var("y")) == hash(("y",)) and hash(e.root) == hash(("-", e.root.lhs, e.root.rhs))
+
+
+def test_a_parse_shares_one_number_leaf_per_spelling():
+    e = parse("2*y + 2*t + 2.0 + exp(2)")
+    nums = [n for n in _nodes(e.root) if isinstance(n, Num)]
+    assert [n.value for n in nums] == [2.0] * 4
+    assert nums[0] is nums[1] is nums[3] and nums[2] is not nums[0]  # "2.0" is another spelling
+    assert parse("2*y").root.lhs is not nums[0]  # each parse has its own
+    # a call names its function by the table's own string
+    assert e.root.rhs.func is next(name for name in FUNCTIONS if name == "exp")
+
+
+def test_tapes_are_slotted_small_integer_programs():
+    tape = parse(EXAMPLE_F)._tape
+    assert not hasattr(tape, "__dict__") and type(tape.fixed) is tuple
+    assert all(type(code) is array and code.itemsize == 1 for code in (tape.t_ops, tape.ops))
+
+
+def test_compiled_sweep_sources_stay_small():
+    import tracemalloc
+
+    _seeded_problem(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sources = [e for seed in range(128) for e in _seeded_problem(seed)[1:]]
+        for e in sources:
+            e.eval_array(0.5, 1.0, 1.0)  # compiles the tape
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a tree and its tape take ~3.3 KiB per source; ~4.9 KiB with a tape of
+    # references and a number leaf per literal
+    assert held <= 3.6 * 1024 * len(sources)
 
 
 def test_tape_constants_are_python_floats():

@@ -301,6 +301,27 @@ def test_warm_half_sweep_allocates_no_point_sized_array(params, f_example, monke
     assert peak < point_array
 
 
+def test_operator_build_peaks_within_four_arrays_of_its_block(params, f_example, h_example):
+    import tracemalloc
+
+    from tripoint.integral_op import _MomentOperator
+
+    n = 4097
+    nodes = solver_nodes(n, params)
+    _MomentOperator(params, nodes, (f_example, h_example))  # fills the caches, compiles the sources
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = _MomentOperator(params, nodes, (f_example, h_example))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the Gauss points and weights are written into the block in place, so
+    # little more than the panels' midpoints and half-widths is live beside
+    # it (~3 arrays; ~10 when computed apart and copied in)
+    assert peak - op.s.base.nbytes <= 4 * 8 * (n + 2)
+
+
 @pytest.mark.parametrize("src, degree", [("1+y+yp", 5), ("t^2*y", 7)])
 def test_default_order_is_exact_up_to_degree_seven(params, src, degree, monkeypatch):
     # on the cubic state w the panel integrand s^k * src(s, w, w') (k <= 2)
