@@ -27,11 +27,11 @@ Since P_k(0) = 0, outputs vanish (value and derivative) exactly at t = 0,
 and both sides of w'(1) = alpha * w'(eta) read the same c, so the
 three-point derivative condition holds to rounding for any source.
 
-Each panel carries ``_QUAD_POINTS`` = 4 Gauss points, the lowest order
-exact for a degree-7 panel integrand: ``s^k * src`` (k <= 2) for a source
+Each panel carries ``_QUAD_POINTS`` = 3 Gauss points, the lowest order
+exact for a degree-5 panel integrand: ``s^k * src`` (k <= 2) for a source
 linear in (y, y') with constant coefficients has degree 5 on the cubic
-Hermite state and 7 on a quintic one.  For other sources the Hermite state
-sets a solve's error; orders 3 and 8 give the same error (README table).
+Hermite state.  For other sources the Hermite state sets a solve's error;
+orders 3, 4 and 8 give the same error (README table).
 
 A solve builds one :class:`_MomentOperator` for its parameters, node set and
 sources, and a half-sweep is one call ``op(src, values, derivs)`` from the
@@ -62,8 +62,8 @@ __all__ = ["CoupledState", "apply_operator"]
 logger = logging.getLogger(__name__)
 
 
-#: Gauss points per node panel: exact for panel integrands up to degree 7
-_QUAD_POINTS = 4
+#: Gauss points per node panel: exact for panel integrands up to degree 5
+_QUAD_POINTS = 3
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +139,8 @@ class _MomentOperator:
     cumulative moments take the two sample rows, which are dead once the
     source has read them, and the panel sums and then the outputs take the
     node-data stack, which is dead once :meth:`sample` has run; the moments'
-    zero column is rewritten on each half-sweep.  So the block is 22m+1
-    floats plus the source rows at the default order (2.13 MiB at 8193
+    zero column is rewritten on each half-sweep.  So the block is 18m+1
+    floats plus the source rows at the default order (1.69 MiB at 8193
     nodes).  A half-sweep reduces the three moments' panel sums into
     the rows of one (3, m) buffer, cumulates all three with one
     ``np.add.accumulate`` along the rows, and contracts the four Python floats

@@ -67,6 +67,14 @@ its repeated products were shared: every weight written out on its own;
 the CLI's ``_write_csv`` as it was before it formatted Python floats: one
 numpy scalar per field.
 
+:func:`shooting_reference` solves the coupled boundary value problem as an
+initial value problem: ``G = t^2 R(s) - (t-s)_+^2 / 2`` says that
+``u = t^2 c_u - 1/2 integral_0^t (t-s)^2 f ds``, so u solves ``-u''' = f``
+with ``u(0) = u'(0) = 0`` and ``u''(0) = 2 c_u``, and likewise v.  Newton
+on ``(u''(0), v''(0))`` meets the two three-point conditions; scipy's
+DOP853 integrates, so the reference shares no discretisation with the
+package.
+
 :func:`parse_reference` is ``expr.parse`` as it was before its tokenizer
 became one pattern and its parser one precedence loop: a per-character
 tokenizer and a five-method recursive descent that records subtree depths
@@ -479,6 +487,59 @@ def cone_membership_reference(p, g, slack=1e-9):
         k0=p.k0,
         k1=p.k1,
     )
+
+
+def shooting_reference(p, f, h, guess=(1.0, 1.0)):
+    """Shoot on ``(a, b) = (u''(0), v''(0))``; returns ``(dense, (a, b))``.
+
+    The state ``(u, u', u'', v, v', v'')`` solves ``u''' = -f(t, v, v')``,
+    ``v''' = -h(t, u, u')`` from ``(0, 0, a, 0, 0, b)``, with negative
+    arguments of a source clamped to 0 as the operator clamps its samples.
+    Newton with a forward-difference Jacobian drives
+    ``(u'(1) - alpha u'(eta), v'(1) - alpha v'(eta))`` below 1e-14; each
+    shot integrates ``[0, eta]`` and ``[eta, 1]`` apart, so ``eta`` ends a
+    step.  ``dense(t)`` returns the six state rows at the points ``t``.
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, x):
+        u, du, v, dv = (max(x[k], 0.0) for k in (0, 1, 3, 4))
+        return (x[1], x[2], -float(f.eval_array(t, v, dv)),
+                x[4], x[5], -float(h.eval_array(t, u, du)))
+
+    def shoot(ab):
+        pieces, x = [], np.array([0.0, 0.0, ab[0], 0.0, 0.0, ab[1]])
+        for span in ((0.0, p.eta), (p.eta, 1.0)):
+            sol = solve_ivp(rhs, span, x, method="DOP853", rtol=1e-13, atol=1e-15,
+                            dense_output=True)
+            if not sol.success:
+                raise RuntimeError(f"shooting from {tuple(ab)} failed: {sol.message}")
+            pieces.append(sol)
+            x = sol.y[:, -1]
+        at_eta = pieces[0].y[:, -1]
+        return np.array([x[1] - p.alpha * at_eta[1], x[4] - p.alpha * at_eta[4]]), pieces
+
+    ab = np.array(guess, dtype=float)
+    for _ in range(20):
+        defect, pieces = shoot(ab)
+        if np.max(np.abs(defect)) <= 1e-14:
+            break
+        jac = np.empty((2, 2))
+        for j in range(2):
+            step = 1e-7 * max(1.0, abs(ab[j]))
+            nudged = ab.copy()
+            nudged[j] += step
+            jac[:, j] = (shoot(nudged)[0] - defect) / step
+        ab = ab - np.linalg.solve(jac, defect)
+    else:
+        raise RuntimeError(f"shooting did not converge from {guess}: defect {defect}")
+
+    def dense(t):
+        t = np.asarray(t, dtype=float)
+        lo, hi = (piece.sol(np.clip(t, *piece.t[[0, -1]])) for piece in pieces)
+        return np.where(t <= p.eta, lo, hi)
+
+    return dense, (float(ab[0]), float(ab[1]))
 
 
 def half_sweep_reference(op, src, values, derivs):

@@ -351,6 +351,28 @@ def test_default_order_is_exact_up_to_degree_seven(params, src, degree, monkeypa
     assert (miss <= 1e-14) == (degree <= 5)
 
 
+def test_default_order_is_the_least_exact_on_the_cubic_state(params, monkeypatch):
+    # s^k * src (k <= 2) of a constant-coefficient linear source on a cubic
+    # state has degree 5: the default order integrates it as order 8 does,
+    # and one point fewer misses it
+    from tripoint.integral_op import _QUAD_POINTS, _MomentOperator
+
+    P = np.polynomial.polynomial
+    nodes = solver_nodes(17, params)
+    a = [0.5, 0.25, 1.0, 0.125]
+    values, derivs = P.polyval(nodes, a), P.polyval(nodes, P.polyder(a))
+    src = parse("1+2*y+3*yp")
+    outputs = {}
+    for order in (_QUAD_POINTS, _QUAD_POINTS - 1, 8):
+        monkeypatch.setattr(integral_op, "_QUAD_POINTS", order)
+        op = _MomentOperator(params, nodes, (src,))
+        outputs[order] = np.concatenate(op(src, values, derivs))
+    exact = outputs[8]
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(outputs[_QUAD_POINTS] - exact)) <= 1e-14 * scale
+    assert np.max(np.abs(outputs[_QUAD_POINTS - 1] - exact)) >= 1e-9 * scale
+
+
 def _assert_weights_match_the_refit(p, nodes):
     # the closed-form contraction against the refitted weights of P_k(t),
     # P_k(eta) and P_k(1), both applied to the operator's own moments

@@ -23,7 +23,7 @@ from tripoint import (
 )
 from conftest import CONFIG_DIR
 from oracles import (bc_defect_reference, c1_norm, fd3_reference, interpolate_reference, lincomb,
-                     picard_solve, residual_reference)
+                     picard_solve, poly_bvp_solution, residual_reference, shooting_reference)
 from test_verify import _random_admissible
 
 # nonnegative profiles phi(y, yp) for y, yp >= 0; the first group is positive
@@ -466,6 +466,60 @@ def test_gauss_order_4_and_8_solve_the_example_alike(params, f_example, h_exampl
             assert drift <= 0.01 * c1_distance(by_order[8][0], exact)
 
 
+@pytest.fixture(scope="module")
+def example_shot(params, f_example, h_example):
+    return shooting_reference(params, f_example, h_example)
+
+
+def _errors_against_shot(dense, state):
+    # the largest value and slope error of either half over 4001 points
+    t = np.linspace(0.0, 1.0, 4001)
+    ref = dense(t)
+    errors = [np.abs(np.subtract(interpolate(g, t), ref[k : k + 2])).max(axis=1)
+              for g, k in ((state.u, 0), (state.v, 3))]
+    return tuple(np.max(errors, axis=0))
+
+
+def test_shooting_reference_meets_the_closed_form_for_a_constant_source(params):
+    one = parse("1")
+    dense, (a, b) = shooting_reference(params, one, one)
+    u, du = poly_bvp_solution(params.alpha, params.eta, [1])
+    t = np.linspace(0.0, 1.0, 101)
+    exact = np.array([[u(x) for x in t], [du(x) for x in t]])
+    for k in (0, 3):
+        assert np.max(np.abs(dense(t)[k : k + 2] - exact)) <= 1e-14
+    # u = t^2 c - t^3 / 6 with u''(0) = 2c = (1 - alpha eta^2) / (1 - alpha eta) / 2
+    second = (1 - params.alpha * params.eta**2) / (2 * (1 - params.alpha * params.eta))
+    assert a == pytest.approx(second, abs=1e-14) and b == pytest.approx(second, abs=1e-14)
+
+
+# value and slope errors against the shooting reference, measured with it
+@pytest.mark.parametrize("nodes, value_error, slope_error",
+                         [(129, 2.83e-10, 6.67e-8), (2049, 1.77e-13, 1.64e-11)])
+def test_example_solve_meets_the_shooting_reference(params, f_example, h_example, example_shot,
+                                                   nodes, value_error, slope_error):
+    dense, (a, b) = example_shot
+    assert a == pytest.approx(2.63807312069821, abs=1e-11)
+    assert b == pytest.approx(2.34093686903435, abs=1e-11)
+    state, report = solve(params, f_example, h_example, SolveConfig(nodes=nodes, tol=1e-13))
+    assert report.converged
+    value, slope = _errors_against_shot(dense, state)
+    assert value <= 2 * value_error and slope <= 2 * slope_error
+
+
+@pytest.mark.parametrize("nodes", [17, 129])
+def test_gauss_order_3_and_4_meet_the_shooting_reference_alike(
+        params, f_example, h_example, example_shot, nodes, monkeypatch):
+    # the cubic Hermite state, not the Gauss order, sets the error
+    by_order = {}
+    for q in (3, 4):
+        monkeypatch.setattr(integral_op, "_QUAD_POINTS", q)
+        state, report = solve(params, f_example, h_example, SolveConfig(nodes=nodes, tol=1e-13))
+        assert report.converged
+        by_order[q] = np.array(_errors_against_shot(example_shot[0], state))
+    assert np.all(np.abs(by_order[3] / by_order[4] - 1.0) <= 0.05)
+
+
 # From 4097 nodes up, a solve converges on a 257-node grid first and finishes
 # on the fine grid; setting the panel ratio out of reach gives the one-grid solve.
 _TWO_GRID_NODES = 4097
@@ -609,6 +663,13 @@ def test_warm_two_grid_solve_peaks_below_55_node_arrays(monkeypatch):
     # initial state and its temporaries go: ~52 arrays
     peak, _, _ = _warm_traced_solve(_TWO_GRID_NODES, monkeypatch)
     assert peak <= 55 * 8 * (_TWO_GRID_NODES + 2)
+
+
+def test_warm_two_grid_solve_peaks_below_47_node_arrays(monkeypatch):
+    # three Gauss points per panel sample, evaluate and integrate a quarter
+    # fewer points than four: ~44.6 arrays (~51.6 at four)
+    peak, _, _ = _warm_traced_solve(_TWO_GRID_NODES, monkeypatch)
+    assert peak <= 47 * 8 * (_TWO_GRID_NODES + 2)
 
 
 def test_fine_sweep_stays_within_three_quarters_of_the_operator_block(monkeypatch):
