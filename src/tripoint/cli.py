@@ -15,27 +15,46 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .expr import _T_ONLY, EvalError, _uses, parse
-from .gridfn import GridFunction
 from .kernel import ProblemParams
-from .solver import SolveConfig, SolveError, solve
-from .verify import certify_kernel, growth_scan
+
+if TYPE_CHECKING:
+    from .gridfn import GridFunction
 
 __all__ = ["main", "build_parser", "DEFAULT_CONFIG"]
 
-DEFAULT_CONFIG = {
-    "alpha": None,
-    "eta": None,
-    "f": None,
-    "h": None,
-    "solver": dataclasses.asdict(SolveConfig()),
-    "outputs": {"csv": None, "json": None},
-}
+#: library names the commands call, each looked up on first access through
+#: the package, which loads only the module that declares it: a command loads
+#: only what it runs.  The commands call them through this module, where a
+#: caller may replace them.
+_LIBRARY = ("solve", "SolveConfig", "SolveError", "parse", "EvalError",
+            "certify_kernel", "growth_scan")
+
+
+def __getattr__(name: str):
+    if name == "DEFAULT_CONFIG":
+        value = {
+            "alpha": None,
+            "eta": None,
+            "f": None,
+            "h": None,
+            "solver": dataclasses.asdict(_cli.SolveConfig()),
+            "outputs": {"csv": None, "json": None},
+        }
+    elif name in _LIBRARY:
+        value = getattr(sys.modules[__package__], name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+# this module, also when run as __main__: the commands read the names above here
+_cli = sys.modules[__name__]
 
 
 class InputError(ValueError):
@@ -43,6 +62,8 @@ class InputError(ValueError):
 
 
 def _load_config(path: str) -> dict:
+    import json  # only the commands that read or write JSON load it
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -52,7 +73,7 @@ def _load_config(path: str) -> dict:
         raise InputError(f"config {path!r} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise InputError(f"config {path!r} must hold a JSON object")
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = copy.deepcopy(_cli.DEFAULT_CONFIG)
     for key, value in data.items():
         if key not in cfg:
             raise InputError(f"unknown config key {key!r}")
@@ -69,7 +90,7 @@ def _load_config(path: str) -> dict:
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    cfg = _load_config(args.config) if args.config else copy.deepcopy(DEFAULT_CONFIG)
+    cfg = _load_config(args.config) if args.config else copy.deepcopy(_cli.DEFAULT_CONFIG)
     for name in ("alpha", "eta", "f", "h"):
         value = getattr(args, name, None)
         if value is not None:
@@ -108,24 +129,28 @@ def _write_csv(path: str, nodes: np.ndarray, u: GridFunction, v: GridFunction) -
 
 
 def _write_json(path: str, payload: dict) -> None:
+    import json
+
     _write(path, json.dumps(payload, indent=2, sort_keys=True), "\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     if args.dump_config:
+        import json
+
         json.dump(cfg, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
     p = ProblemParams(_require(cfg, "alpha"), _require(cfg, "eta"))
-    f = parse(str(_require(cfg, "f")))
-    h = parse(str(_require(cfg, "h")))
-    solve_cfg = SolveConfig(**cfg["solver"])
+    f = _cli.parse(str(_require(cfg, "f")))
+    h = _cli.parse(str(_require(cfg, "h")))
+    solve_cfg = _cli.SolveConfig(**cfg["solver"])
     try:
         solve_cfg.validate()
     except ValueError as err:
         raise InputError(f"solver.{err}") from None
-    state, report = solve(p, f, h, solve_cfg)
+    state, report = _cli.solve(p, f, h, solve_cfg)
     print(
         f"converged: {str(report.converged).lower()}  iters: {report.iters}"
         f"  final step: {report.final_step_norm:.3e}"
@@ -148,7 +173,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify_green(args: argparse.Namespace) -> int:
     p = ProblemParams(args.alpha, args.eta)
-    report = certify_kernel(p, grid_n=args.grid)
+    report = _cli.certify_kernel(p, grid_n=args.grid)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -174,7 +199,9 @@ def _split_direction(text: str) -> tuple[str, str]:
 
 
 def _direction_callable(src: str):
-    e = parse(src)
+    from .expr import _T_ONLY, _uses
+
+    e = _cli.parse(src)
     # directions are profiles of t only; y/yp would be circular here
     if _uses(e.root, {}) & ~_T_ONLY:
         raise InputError(f"direction component {src!r} may only use the variable t")
@@ -183,7 +210,7 @@ def _direction_callable(src: str):
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    exprs = [(key, parse(str(cfg[key]))) for key in ("f", "h") if cfg.get(key) is not None]
+    exprs = [(key, _cli.parse(str(cfg[key]))) for key in ("f", "h") if cfg.get(key) is not None]
     if not exprs:
         raise InputError("nothing to scan: provide --f and/or --h (or a config file)")
     directions = None
@@ -195,7 +222,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # an inf or NaN end makes non-finite scales, which growth_scan rejects
     with np.errstate(all="ignore"):
         scales = np.geomspace(args.scale_min, args.scale_max, args.scale_count)
-    results = [(name, growth_scan(e, directions=directions, scales=scales)) for name, e in exprs]
+    results = [(name, _cli.growth_scan(e, directions=directions, scales=scales))
+               for name, e in exprs]
     print("scale" + "".join(f"  ratio_{name}" for name, _ in results))
     for i, c in enumerate(scales):
         print(_fmt(c) + "".join(f"  {_fmt(scan.ratios[i])}" for _, scan in results))
@@ -263,7 +291,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SolveError, EvalError) as err:  # InputError, ParseError included
+    # evaluated only once an error is raised: the library's classes load then
+    except (ValueError, _cli.SolveError, _cli.EvalError) as err:  # InputError, ParseError included
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .expr import EvalError, Expr, _first_faulting_sample
-from .gridfn import GridFunction
 from .kernel import ProblemParams, _is_count, g0_bound, g1_bound, green, green_dt
 
 __all__ = [
@@ -37,6 +35,10 @@ __all__ = [
     "GrowthScan",
     "growth_scan",
 ]
+
+if TYPE_CHECKING:
+    from .expr import Expr
+    from .gridfn import GridFunction
 
 MIN_GRID = 11
 #: points per row block of the kernel sweep: 40 rows, 256 KiB per array, at grid 801
@@ -238,6 +240,8 @@ def growth_scan(
     its state arguments along the chosen rays.  Samples where |phi|+|psi| = 0
     cannot define a ratio and are skipped.
     """
+    from .expr import EvalError, _first_faulting_sample  # only a scan evaluates sources
+
     dirs = list(directions) if directions is not None else _default_directions()
     if not dirs:
         raise ValueError("directions must not be empty")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,6 +15,17 @@ from tripoint import ProblemParams, SolveConfig, parse, solve
 EXAMPLE_F = "(t^2+1)*(exp(-y)+sqrt(abs(yp)))"
 EXAMPLE_H = "(y+1)^2*atan(abs(yp)+1)"
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    """stdout of ``code`` run with ``argv`` in a new interpreter that imports tripoint from src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ import pytest
 import tripoint
 from tripoint.cli import build_parser
 
+from conftest import fresh_python
+
 README = Path(__file__).parent.parent / "README.md"
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(tripoint.__path__))
 
@@ -54,3 +56,23 @@ def test_package_exports_exactly_the_library_modules_exports():
         if name != "cli":
             union |= set(importlib.import_module(f"tripoint.{name}").__all__)
     assert set(tripoint.__all__) == union
+
+
+def test_import_loads_no_module_and_a_submodule_resolves_on_access():
+    # the package loads its modules on first use; a submodule needs no
+    # explicit import, as with the eager package
+    out = fresh_python(
+        "import sys, tripoint\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tripoint.')))\n"
+        "print(tripoint.solver.__name__, tripoint.solve.__module__)\n"
+    )
+    assert out.splitlines() == ["[]", "tripoint.solver tripoint.solver"]
+
+
+def test_dir_lists_every_export_before_any_is_loaded():
+    out = fresh_python(
+        "import tripoint\n"
+        "listed = set(dir(tripoint))\n"
+        "print(len(tripoint.__all__), *sorted(set(tripoint.__all__) - listed))\n"
+    )
+    assert out.split() == [str(len(tripoint.__all__))]

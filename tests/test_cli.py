@@ -11,7 +11,7 @@ from tripoint import SolveConfig, cli
 from tripoint.cli import DEFAULT_CONFIG, build_parser, main
 from tripoint.gridfn import GridFunction
 
-from conftest import CONFIG_DIR, EXAMPLE_F, EXAMPLE_H
+from conftest import CONFIG_DIR, EXAMPLE_F, EXAMPLE_H, fresh_python
 from oracles import write_csv_reference
 
 
@@ -355,3 +355,50 @@ def test_scan_rejects_solver_flags(capsys):
         main(["scan", "--f", "y", "--nodes", "5"])
     assert exc.value.code == 2
     assert "--nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, RuntimeError])
+def test_main_lets_other_errors_propagate(monkeypatch, error):
+    # main maps exactly ValueError, SolveError and EvalError to "error:" and
+    # exit 1; a bug such as a ZeroDivisionError (an ArithmeticError, as
+    # EvalError is) or a bare RuntimeError (SolveError's base) surfaces
+    def broken_solve(p, f, h, cfg):
+        raise error("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    with pytest.raises(error):
+        main(["solve", "--alpha", "1.5", "--eta", "0.5", "--f", "1", "--h", "1", "--nodes", "17"])
+
+
+# the library modules that only solve and scan run
+SOLVE_ONLY = {"tripoint.expr", "tripoint.solver", "tripoint.integral_op", "tripoint.gridfn"}
+
+
+def _modules_loaded_by(*argv: str) -> set[str]:
+    # a fresh interpreter runs one command; only tripoint's own modules are
+    # compared, since site hooks may import any standard module
+    code = (
+        "import sys, tripoint.cli\n"
+        "try:\n"
+        "    tripoint.cli.main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('tripoint')))\n"
+    )
+    return set(fresh_python(code, *argv).splitlines()[-1].split())
+
+
+def test_verify_green_loads_only_the_kernel_and_verify():
+    loaded = _modules_loaded_by("verify-green", "--alpha", "1.5", "--eta", "0.5", "--grid", "21")
+    assert "tripoint.verify" in loaded
+    assert not loaded & SOLVE_ONLY, loaded
+
+
+def test_help_loads_no_solver_module():
+    assert not _modules_loaded_by("--help") & SOLVE_ONLY
+
+
+def test_solve_loads_every_library_module():
+    loaded = _modules_loaded_by("solve", "--alpha", "1.5", "--eta", "0.5", "--f", "1", "--h", "1",
+                                "--nodes", "17")
+    assert SOLVE_ONLY | {"tripoint.kernel", "tripoint.verify"} <= loaded
