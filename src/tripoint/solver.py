@@ -7,22 +7,21 @@ v's node data (values and derivatives, one 2n-vector)::
 
     u_k = T_f(x_k),   g_k = T_h(u_k),   r_k = g_k - x_k
 
-and mixes the next iterate by Anderson mixing of depth 1 (a secant step)
-with relaxation factor ``beta``::
+and mixes the next iterate by a rule that keeps no state but the previous
+sweep's ``(x, r)``::
 
-    x_{k+1} = (1-beta) x_k + beta g_k - gamma (dx + beta dr)
-    gamma   = (dr . r_k) / (dr . dr),   dx = x_k - x_{k-1},   dr = r_k - r_{k-1}
+    x_{k+1} = (x_k + g_k) / 2          if the step rose, else
+    x_{k+1} = g_k - gamma (dx + dr),   gamma = (dr . r_k) / (dr . dr),
+    dx = x_k - x_{k-1},   dr = r_k - r_{k-1}
 
-With gamma = 0 and beta = 1 this is plain substitution.  The secant
-correction is applied only after a sweep whose step fell, and skipped when
-dr = 0; on a diverging iteration an unguarded secant can steer towards the
-trivial zero solution.  The step of sweep k is the larger of the C^1-norm
+The second is Anderson mixing of depth 1 (a secant step).  gamma is 0, which
+is plain substitution, on the first sweep, on an unchanged step and when
+``dr = 0``; on a diverging iteration an unguarded secant can steer towards
+the trivial zero solution.  The step of sweep k is the larger of the C^1-norm
 changes ``|u_k - u_{k-1}|`` and ``|r_k|``, and the iteration stops when it
-drops to ``tol``.  There is no general contraction guarantee, so beta starts
-at 1 and a step-size increase drops it to 0.5 once and restarts the secant
-memory; there is no ``damping`` setting.  If the iteration still fails to
-settle within ``max_iters`` sweeps the report comes back with
-``converged=False`` rather than guessing.
+drops to ``tol``.  There is no general contraction guarantee and no
+``damping`` setting; if the iteration fails to settle within ``max_iters``
+sweeps the report comes back with ``converged=False`` rather than guessing.
 
 A large solve, from 4097 nodes up (16 times the panels of the 257-node
 grid), starts on the coarse grid ``solver_nodes(257, p)`` from the
@@ -61,9 +60,6 @@ __all__ = ["SolveConfig", "SolveReport", "SolveError", "solve", "residual", "bc_
 
 logger = logging.getLogger(__name__)
 
-#: slack used for the report's cone-membership grading
-CONE_SLACK = 1e-9
-
 #: dense residual grid: 1001 uniform points, 3 stencil points dropped per side
 RESIDUAL_GRID = 1001
 RESIDUAL_SKIP = 3
@@ -100,8 +96,8 @@ class SolveConfig:
     integer; a boolean or a string is never a number.  From 4097 nodes up, a
     ``"zero"`` or constant initial state is first iterated on a 257-node
     grid; ``max_iters`` bounds the sweeps of both grids together, at most
-    ``max_iters - 1`` of them coarse.  The relaxation factor is no setting:
-    it starts at 1 and drops to 0.5 once, at the first step increase.
+    ``max_iters - 1`` of them coarse.  No setting chooses the mixing: the
+    module docstring states its one rule.
     """
 
     max_iters: int = 200
@@ -187,8 +183,6 @@ def _sweeps(
     nodes = state.nodes
     op = _MomentOperator(p, nodes, (f, h))
     n = nodes.size
-    beta = 1.0
-    fell_back = False
     prev_step = np.inf
     x, u_prev = _node_data(state.v), _node_data(state.u)
     del state  # x and u_prev are all the first sweep reads of it
@@ -209,18 +203,18 @@ def _sweeps(
         history.append(step)
         if step <= cfg.tol:
             return u, v, True
-        restart = step > prev_step and not fell_back
-        if restart:
+        if step > prev_step:
             logger.info("step norm increased at iteration %d; damping reduced to 0.5", it)
-            beta, fell_back = 0.5, True
-        x_next = (1 - beta) * x + beta * g
-        if step < prev_step and secant is not None:
-            dx, dr = x - secant[0], r - secant[1]
-            drdr = float(dr @ dr)
-            if drdr > 0.0:
-                x_next -= float(dr @ r) / drdr * (dx + beta * dr)
-            del dx, dr
-        secant = None if restart else (x, r)
+            x_next = 0.5 * x + 0.5 * g
+        else:
+            x_next = g
+            if step < prev_step and secant is not None:
+                dx, dr = x - secant[0], r - secant[1]
+                drdr = float(dr @ dr)
+                if drdr > 0.0:
+                    x_next = g - float(dr @ r) / drdr * (dx + dr)
+                del dx, dr
+        secant = (x, r)
         x, u_prev, prev_step = x_next, u_data, step
     return u, v, False
 
@@ -242,8 +236,8 @@ def solve(
 
     state = CoupledState(u, v)
     res_u, res_v = residual(p, state, f, h)
-    cone_u = verify.cone_membership(p, u, CONE_SLACK)
-    cone_v = verify.cone_membership(p, v, CONE_SLACK)
+    cone_u = verify.cone_membership(p, u)
+    cone_v = verify.cone_membership(p, v)
     # nodes[0] = 0 is the only node not inside (0, 1]
     positivity_ok = bool(
         u.values[1:].min() > 0.0
@@ -254,7 +248,7 @@ def solve(
     report = SolveReport(
         converged=converged,
         iters=len(history),
-        final_step_norm=history[-1] if history else 0.0,
+        final_step_norm=history[-1],
         residual_u=res_u,
         residual_v=res_v,
         bc_defect_u=bc_defect(p, u),
@@ -287,18 +281,23 @@ def residual(
     fourth-order finite difference of those samples, and the source reads
     the other half's samples at the interior points: 3 points are dropped at
     each end where the centered stencil does not fit.  Both sources evaluate
-    in one workspace at those points.
+    in one workspace at those points.  A half whose defect is not finite,
+    as on a diverged state whose samples overflow, reads inf.
     """
     inner, t_in = _RES_INNER, _RES_T[_RES_INNER]
     work = Workspace(t_in, (f, h))
     sample = _sampler(state.nodes, _RES_T)
-    (uv, ud), (vv, vd) = (sample(g.values, g.derivs) for g in (state.u, state.v))
     out = []
-    for gv, ov, od, src in ((uv, vv, vd, f), (vv, uv, ud, h)):
-        d3 = _fd3(gv, _RES_SPACING)
-        rhs = src.eval_array(t_in, np.maximum(ov[inner], 0.0), np.maximum(od[inner], 0.0),
-                             work=work)
-        out.append(float(np.abs(d3 + rhs).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (uv, ud), (vv, vd) = (sample(g.values, g.derivs) for g in (state.u, state.v))
+        for gv, ov, od, src in ((uv, vv, vd, f), (vv, uv, ud, h)):
+            try:
+                rhs = src.eval_array(t_in, np.maximum(ov[inner], 0.0),
+                                     np.maximum(od[inner], 0.0), work=work)
+            except EvalError:
+                rhs = np.inf
+            defect = float(np.abs(_fd3(gv, _RES_SPACING) + rhs).max())
+            out.append(defect if np.isfinite(defect) else np.inf)
     return out[0], out[1]
 
 

@@ -79,6 +79,20 @@ def test_solve_reports_nonconvergence_with_exit_2(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
 
 
+def test_solve_grades_a_diverged_state_with_exit_2(tmp_path):
+    # the state stays finite but its dense samples overflow: an infinite residual
+    rep = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", "--alpha", "1.2", "--eta", "0.7", "--nodes", "65",
+                     "--f", f"3*({EXAMPLE_F})", "--h", f"100*({EXAMPLE_H})",
+                     "--out-json", str(rep)])
+    assert code == 2
+    text = rep.read_text()
+    assert '"residual_u": Infinity' in text
+    assert json.loads(text)["converged"] is False
+
+
 def test_solve_missing_required_input(capsys):
     code = main(["solve", "--alpha", "1.5", "--eta", "0.5", "--f", "0"])
     assert code == 1

@@ -80,14 +80,52 @@ def test_constant_system_is_exact_after_one_sweep(params):
 
 
 def test_step_increase_halves_the_relaxation_once(params, f_example, h_example, caplog):
-    # the one relaxation left: beta starts at 1 and a step increase drops it
-    # to 0.5 for the rest of the solve; from 1.0 the example's step grows once
+    # a sweep whose step rose averages its input and output; from 1.0 the
+    # example's step grows once
     with caplog.at_level("INFO", logger="tripoint.solver"):
         _, report = solve(params, f_example, h_example, SolveConfig(nodes=65, initial=1.0))
     drops = [r.getMessage() for r in caplog.records if "damping reduced to 0.5" in r.getMessage()]
     assert drops == ["step norm increased at iteration 2; damping reduced to 0.5"]
     assert report.history[1] > report.history[0]
     assert report.converged
+
+
+def test_a_step_rise_costs_no_later_sweeps():
+    # seeded sweep-129 problem (seed 7, input 382): its step rises once, at
+    # sweep 2, and the secant steps that follow converge at full speed
+    f = parse("0.894391*t^3*atan(y+1)+0.887033*t^2*sqrt(abs(yp))+0.566877*t*sqrt(abs(yp))"
+              "+0.497731*t*log(1+yp)+0.985563*t*sqrt(abs(y))+0.196685*t*exp(-y)"
+              "+0.875718*t^2*sqrt(1+y)+0.963221*t*sqrt(abs(yp))")
+    h = parse("0.130091*t^3*atan(y+1)+0.330768*t*sqrt(abs(yp))+0.134715*1/(1+yp)"
+              "+0.590646*sqrt(1+yp)")
+    p = ProblemParams(1.9194417624960245, 0.41145255929117225)
+    _, report = solve(p, f, h, SolveConfig(nodes=129, tol=1e-10))
+    assert report.converged
+    assert report.history[1] > report.history[0]
+    assert report.iters <= 8
+
+
+def test_oscillating_pair_needs_the_average_after_a_rise(params):
+    # without the average after its step rise this pair runs out all 200 sweeps
+    cfg = SolveConfig(nodes=65, initial=1.0)
+    _, report = solve(params, parse("3*(1+y+yp)"), parse("100*exp(-y-yp)"), cfg)
+    assert report.converged
+    assert report.history[1] > report.history[0]
+    assert report.iters <= 12
+
+
+def test_every_step_rise_is_logged(params, caplog):
+    # "1+20*y" diverges: its step rises at every sweep after the first
+    with caplog.at_level("INFO", logger="tripoint.solver"):
+        _, report = solve(params, parse("1+20*y"), parse("1+20*y"),
+                          SolveConfig(nodes=129, max_iters=30))
+    rises = [k + 1 for k in range(1, report.iters)
+             if report.history[k] > report.history[k - 1]]
+    drops = [r.getMessage() for r in caplog.records if "damping reduced to 0.5" in r.getMessage()]
+    assert not report.converged
+    assert len(rises) == report.iters - 1
+    assert drops == [f"step norm increased at iteration {it}; damping reduced to 0.5"
+                     for it in rises]
 
 
 def test_config_validation(params):
@@ -281,6 +319,18 @@ def test_divergent_system_reports_nonconvergence(params):
     _, report = solve(params, parse("100*y"), parse("100*y"), cfg)
     assert not report.converged
     assert report.history[-1] > report.history[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_state_is_graded_with_an_infinite_residual():
+    # 200 sweeps leave a finite state of ~1e305, whose dense samples overflow
+    f = parse("3*(t^2+1)*(exp(-y)+sqrt(abs(yp)))")
+    h = parse("100*(y+1)^2*atan(abs(yp)+1)")
+    state, report = solve(ProblemParams(1.2, 0.7), f, h, SolveConfig(nodes=65, initial="zero"))
+    assert not report.converged
+    assert report.iters == 200
+    assert report.residual_u == np.inf
+    assert np.isfinite(state.v.values).all()
 
 
 def test_state_overflow_is_a_solve_error_without_warnings(params):
