@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import gc
 import sys
 from typing import TYPE_CHECKING
 
@@ -297,5 +298,12 @@ def main(argv=None) -> int:
         return 1
 
 
+def _script() -> int:
+    try:
+        return main()
+    finally:  # exit then skips its final collection; main, which tests call, never freezes
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_script())

@@ -64,12 +64,14 @@ logger = logging.getLogger(__name__)
 
 #: Gauss points per node panel: exact for panel integrands up to degree 5
 _QUAD_POINTS = 3
+_LEGGAUSS_3 = ((-0.7745966692414834, 0.0, 0.7745966692414834),
+               (0.5555555555555557, 0.8888888888888888, 0.5555555555555557))
 
 
 @lru_cache(maxsize=None)
 def _leggauss(q: int) -> tuple[np.ndarray, np.ndarray]:
-    # read-only: every operator shares these arrays through the cache
-    rule = np.polynomial.legendre.leggauss(q)
+    # read-only, shared through the cache; leggauss(3)'s floats spare a solve numpy.polynomial
+    rule = tuple(map(np.array, _LEGGAUSS_3)) if q == 3 else np.polynomial.legendre.leggauss(q)
     for arr in rule:
         arr.setflags(write=False)
     return rule

@@ -18,12 +18,16 @@ CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SRC = Path(__file__).parent.parent / "src"
 
 
+def fresh_env() -> dict:
+    """Environment of a new interpreter that imports tripoint from src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def fresh_python(code: str, *argv: str) -> str:
     """stdout of ``code`` run with ``argv`` in a new interpreter that imports tripoint from src."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import importlib
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +15,7 @@ from tripoint import SolveConfig, cli
 from tripoint.cli import DEFAULT_CONFIG, build_parser, main
 from tripoint.gridfn import GridFunction
 
-from conftest import CONFIG_DIR, EXAMPLE_F, EXAMPLE_H, fresh_python
+from conftest import CONFIG_DIR, EXAMPLE_F, EXAMPLE_H, fresh_env, fresh_python
 from oracles import write_csv_reference
 
 
@@ -416,3 +420,93 @@ def test_solve_loads_every_library_module():
     loaded = _modules_loaded_by("solve", "--alpha", "1.5", "--eta", "0.5", "--f", "1", "--h", "1",
                                 "--nodes", "17")
     assert SOLVE_ONLY | {"tripoint.kernel", "tripoint.verify"} <= loaded
+
+
+def test_example_solve_leaves_numpy_polynomial_unloaded():
+    code = (
+        "import sys, tripoint.cli\n"
+        "assert tripoint.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    out = fresh_python(code, "solve", "--config", str(CONFIG_DIR / "example.json"))
+    assert out.splitlines()[-1] == "[]"
+
+
+# the script paths: ``python -m tripoint.cli`` and the console script run
+# main through cli._script, which freezes the collector on the way out
+
+EXAMPLE = ["solve", "--config", str(CONFIG_DIR / "example.json")]
+
+
+def _run_script(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "tripoint.cli", *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run_main(capsys, argv: list[str]) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (EXAMPLE, 0, ""),
+    (["verify-green", "--alpha", "1.5", "--eta", "0.5", "--grid", "41"], 1, ""),
+    (EXAMPLE + ["--alpha", "3", "--eta", "0.5"], 1, "error: parameters must satisfy "),
+    (EXAMPLE + ["--max-iter", "2"], 2, ""),
+    (EXAMPLE + ["--no-such-flag"], 2, "usage: tripoint "),
+], ids=["solve", "verify-green-fails", "input-error", "not-converged", "usage-error"])
+def test_script_exits_as_main_returns(capsys, argv, code, err):
+    proc = _run_script(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(err)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _run_main(capsys, argv)
+
+
+def test_script_writes_the_bytes_main_writes(tmp_path, capsys):
+    def outputs(run, tag):
+        paths = [tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json", tmp_path / f"{tag}-green.json"]
+        run(EXAMPLE + ["--out-csv", str(paths[0]), "--out-json", str(paths[1])])
+        run(["verify-green", "--alpha", "1.5", "--eta", "0.5", "--out-json", str(paths[2])])
+        return [path.read_bytes() for path in paths]
+
+    assert outputs(lambda argv: _run_script(*argv), "script") == \
+        outputs(lambda argv: _run_main(capsys, argv), "main")
+
+
+def test_main_never_freezes_the_collector(capsys):
+    before = gc.get_freeze_count()
+    _run_main(capsys, ["verify-green", "--alpha", "1.5", "--eta", "0.5", "--grid", "21"])
+    _run_main(capsys, ["solve", "--no-such-flag"])
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("verify-green", "--alpha", "1.5", "--eta", "0.5", "--grid", "21"), 1),
+    (("solve", "--no-such-flag"), 2),
+])
+def test_script_entry_freezes_the_collector_on_every_exit(argv, exit_code):
+    code = (
+        "import gc, sys, tripoint.cli\n"
+        "before = gc.get_freeze_count()\n"
+        "try:\n"
+        "    status = tripoint.cli._script()\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(status, before, gc.get_freeze_count())\n"
+    )
+    status, before, after = map(int, fresh_python(code, *argv).split()[-3:])
+    assert status == exit_code
+    assert after > before
+
+
+def test_console_script_names_a_cli_function():
+    tomllib = pytest.importorskip("tomllib")
+    with open(CONFIG_DIR.parent / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["tripoint"]
+    module, _, attr = entry.partition(":")
+    assert module == "tripoint.cli"
+    assert callable(getattr(importlib.import_module(module), attr))

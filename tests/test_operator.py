@@ -425,6 +425,16 @@ def test_cached_gauss_rule_is_read_only():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_gauss_rule_is_numpys_leggauss_bitwise(q):
+    # order 3 is written out as floats; other orders still come from numpy.polynomial
+    from tripoint.integral_op import _leggauss
+
+    for got, want in zip(_leggauss(q), np.polynomial.legendre.leggauss(q), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape == (q,)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_cached_gauss_basis_is_shared_and_read_only(params, f_example):
     from tripoint.gridfn import _hermite_basis
     from tripoint.integral_op import _QUAD_POINTS, _MomentOperator, _leggauss
