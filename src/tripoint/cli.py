@@ -87,6 +87,12 @@ def _load_config(path: str) -> dict:
                 cfg[key][sub] = subval
         else:
             cfg[key] = value
+    # checked before anything runs or is written: a source is text, and open() would
+    # take an integer (or a boolean) output path as a file descriptor
+    for key, value in (("f", cfg["f"]), ("h", cfg["h"]),
+                       *((f"outputs.{k}", v) for k, v in cfg["outputs"].items())):
+        if not (value is None or isinstance(value, str)):
+            raise InputError(f"config key {key!r} must hold a string, got {value!r}")
     return cfg
 
 
@@ -144,8 +150,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         sys.stdout.write("\n")
         return 0
     p = ProblemParams(_require(cfg, "alpha"), _require(cfg, "eta"))
-    f = _cli.parse(str(_require(cfg, "f")))
-    h = _cli.parse(str(_require(cfg, "h")))
+    f = _cli.parse(_require(cfg, "f"))
+    h = _cli.parse(_require(cfg, "h"))
     solve_cfg = _cli.SolveConfig(**cfg["solver"])
     try:
         solve_cfg.validate()
@@ -211,7 +217,7 @@ def _direction_callable(src: str):
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    exprs = [(key, _cli.parse(str(cfg[key]))) for key in ("f", "h") if cfg.get(key) is not None]
+    exprs = [(key, _cli.parse(cfg[key])) for key in ("f", "h") if cfg.get(key) is not None]
     if not exprs:
         raise InputError("nothing to scan: provide --f and/or --h (or a config file)")
     directions = None

@@ -62,7 +62,6 @@ __all__ = [
     "parse",
     "evaluate",
     "to_source",
-    "SamplingPlan",
     "NonnegativityReport",
     "check_nonnegative_sampled",
 ]
@@ -557,20 +556,6 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SamplingPlan:
-    """Lattice over [0,1] x [0,bound]^2 used to probe an expression's sign."""
-
-    bound: float = 10.0
-    n_t: int = 10
-    n_y: int = 10
-    n_yp: int = 10
-
-    def __post_init__(self) -> None:
-        if self.bound <= 0 or min(self.n_t, self.n_y, self.n_yp) < 2:
-            raise ValueError("bound must be positive and each axis needs >= 2 samples")
-
-
-@dataclass(frozen=True)
 class NonnegativityReport:
     min_value: float
     argmin: tuple[float, float, float]
@@ -578,16 +563,15 @@ class NonnegativityReport:
     samples: int
 
 
-def check_nonnegative_sampled(e: Expr, plan: SamplingPlan = SamplingPlan()) -> NonnegativityReport:
-    """Scan the sampling lattice; reports the minimum value and its location.
+def check_nonnegative_sampled(e: Expr) -> NonnegativityReport:
+    """Scan the 10 x 10 x 10 lattice on [0,1] x [0,10]^2 of (t, y, yp) for the
+    minimum value and its location.
 
     A negative minimum flags a violation.  Evaluation faults are re-raised as
     :class:`EvalError` annotated with the offending sample coordinates.
     """
-    tg = np.linspace(0.0, 1.0, plan.n_t)
-    yg = np.linspace(0.0, plan.bound, plan.n_y)
-    pg = np.linspace(0.0, plan.bound, plan.n_yp)
-    T, Y, P = (a.ravel() for a in np.meshgrid(tg, yg, pg, indexing="ij"))
+    tg, yg = np.linspace(0.0, 1.0, 10), np.linspace(0.0, 10.0, 10)
+    T, Y, P = (a.ravel() for a in np.meshgrid(tg, yg, yg, indexing="ij"))
     try:
         vals = e.eval_array(T, Y, P)
     except EvalError as err:

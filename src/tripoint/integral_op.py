@@ -44,7 +44,6 @@ first half-sweep and kept for the solve.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,8 +57,6 @@ from .gridfn import GridFunction, _hermite_basis, interpolate  # noqa: F401
 from .kernel import ProblemParams, _r_coefficients
 
 __all__ = ["CoupledState", "apply_operator"]
-
-logger = logging.getLogger(__name__)
 
 
 #: Gauss points per node panel: exact for panel integrands up to degree 5
@@ -227,7 +224,9 @@ class _MomentOperator:
             if not (y.min() >= 0.0 and yp.min() >= 0.0):
                 n_neg = np.count_nonzero(y < 0.0) + np.count_nonzero(yp < 0.0)
                 if n_neg:
-                    logger.debug("clamped %d negative interpolated state samples to 0", n_neg)
+                    import logging  # loaded by the first record, not by every solve
+                    logging.getLogger(__name__).debug(
+                        "clamped %d negative interpolated state samples to 0", n_neg)
                     np.maximum(y, 0.0, out=y)
                     np.maximum(yp, 0.0, out=yp)
             # w * s^k * src in the source register: one multiply by s per moment

@@ -57,7 +57,8 @@ MIN_GAP = 1e-9
 class ProblemParams:
     """Validated parameter pair (alpha, eta) with derived cone constants.
 
-    Requires ``0 < eta < 1`` and ``1 < alpha < 1/eta`` (with margin
+    Requires numbers, read as :func:`_is_real` reads them (never a boolean or
+    a string), with ``0 < eta < 1`` and ``1 < alpha < 1/eta`` (with margin
     ``1 - alpha*eta >= MIN_GAP``).  The derived constants are
 
     * ``k0 = eta^2 * min(alpha-1, 1) / (2 alpha^2 (1+alpha))``
@@ -72,6 +73,9 @@ class ProblemParams:
     k1: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "eta"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         a, e = float(self.alpha), float(self.eta)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "eta", e)

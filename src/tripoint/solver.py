@@ -44,7 +44,6 @@ dense grid), boundary-condition defects, cone membership and positivity.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
@@ -57,8 +56,6 @@ from .integral_op import CoupledState, _MomentOperator, apply_operator
 from .kernel import ProblemParams, _is_count, _is_real
 
 __all__ = ["SolveConfig", "SolveReport", "SolveError", "solve", "residual", "bc_defect"]
-
-logger = logging.getLogger(__name__)
 
 #: dense residual grid: 1001 uniform points, 3 stencil points dropped per side
 RESIDUAL_GRID = 1001
@@ -151,10 +148,7 @@ def _initial_state(init: Union[str, float, CoupledState], nodes: np.ndarray) -> 
         sample = _sampler(init.nodes, nodes)
         u = GridFunction(nodes, *sample(init.u.values, init.u.derivs))
         return CoupledState(u, GridFunction(u.nodes, *sample(init.v.values, init.v.derivs)))
-    if init == "zero":
-        zero = GridFunction.zeros(nodes)
-        return CoupledState(zero, zero)
-    c = float(init)
+    c = 0.0 if init == "zero" else float(init)
     const = GridFunction(nodes, np.full_like(nodes, c), np.zeros_like(nodes))
     return CoupledState(const, const)
 
@@ -204,7 +198,9 @@ def _sweeps(
         if step <= cfg.tol:
             return u, v, True
         if step > prev_step:
-            logger.info("step norm increased at iteration %d; damping reduced to 0.5", it)
+            import logging  # loaded by the first record, not by every solve
+            logging.getLogger(__name__).info(
+                "step norm increased at iteration %d; damping reduced to 0.5", it)
             x_next = 0.5 * x + 0.5 * g
         else:
             x_next = g
@@ -230,7 +226,9 @@ def solve(
     if (not isinstance(init, CoupledState) and max_iters > 1
             and int(cfg.nodes) - 1 >= _COARSE_RATIO * (_COARSE_NODES - 1)):
         u, v, _ = _sweeps(p, f, h, init, _COARSE_NODES, cfg, max_iters - 1, history)
-        logger.debug("coarse grid of %d nodes took %d sweeps", _COARSE_NODES, len(history))
+        import logging
+        logging.getLogger(__name__).debug(
+            "coarse grid of %d nodes took %d sweeps", _COARSE_NODES, len(history))
         init = CoupledState(u, v)
     u, v, converged = _sweeps(p, f, h, init, int(cfg.nodes), cfg, max_iters, history)
 

@@ -1,7 +1,7 @@
 """Numerical certification of the kernel bounds, cone membership, and growth.
 
 The kernel checks sweep dense grids and grade four inequalities against their
-stated envelopes with a small absolute slack for rounding:
+stated envelopes with the absolute slack ``KERNEL_SLACK`` for rounding:
 
 * ``0 <= G(t,s) <= g0(s)``            on [0,1]^2
 * ``G(t,s) >= k0*g0(s)``              on [eta/alpha, eta] x [0,1]
@@ -45,6 +45,9 @@ MIN_GRID = 11
 _BLOCK_POINTS = 1 << 15
 #: uniform t samples on [0, 1] of a growth scan
 _SCAN_T_POINTS = 101
+#: absolute slacks for rounding: of the kernel inequalities, and of the cone conditions
+KERNEL_SLACK = 1e-12
+CONE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ _CHECKS = (
 def certify_kernel(
     p: ProblemParams,
     grid_n: int = 401,
-    slack: float = 1e-12,
     green_fn: Callable = green,
     green_dt_fn: Callable = green_dt,
 ) -> CertificationReport:
@@ -148,10 +150,10 @@ def certify_kernel(
                 i, j = np.unravel_index(k, violation.shape)
                 worst[c] = (v, float(ts[lo + i]), float(sg[j]))
     checks = tuple(
-        KernelCheck(name, description, v <= slack, v, vt, vs)
+        KernelCheck(name, description, v <= KERNEL_SLACK, v, vt, vs)
         for (name, description), (v, vt, vs) in zip(_CHECKS, worst)
     )
-    return CertificationReport(grid_n=grid_n, slack=slack, checks=checks)
+    return CertificationReport(grid_n=grid_n, slack=KERNEL_SLACK, checks=checks)
 
 
 @dataclass(frozen=True)
@@ -169,13 +171,13 @@ class ConeMembershipReport:
         return asdict(self)
 
 
-def cone_membership(p: ProblemParams, g: GridFunction, slack: float = 1e-9) -> ConeMembershipReport:
+def cone_membership(p: ProblemParams, g: GridFunction) -> ConeMembershipReport:
     """Check the three cone conditions on the node data of g.
 
     Requires the node set to contain eta/alpha and eta, so the window
     [eta/alpha, eta] is read at exact nodes.  The conditions are
-    ``g >= 0`` everywhere, ``min_window g >= k0 * max|g| - slack`` and
-    ``min_window g' >= k1 * max|g'| - slack``.
+    ``g >= -CONE_SLACK`` everywhere, ``min_window g >= k0 * max|g| - CONE_SLACK``
+    and ``min_window g' >= k1 * max|g'| - CONE_SLACK``.
     """
     nodes = g.nodes
     lo, hi = p.eta / p.alpha, p.eta
@@ -187,12 +189,12 @@ def cone_membership(p: ProblemParams, g: GridFunction, slack: float = 1e-9) -> C
         raise ValueError("node set must contain eta/alpha and eta")
     window = slice(nodes.searchsorted(lo - 1e-12), nodes.searchsorted(hi + 1e-12, side="right"))
     values, derivs = g.values, g.derivs
-    nonneg_ok = bool(values.min() >= -slack)
+    nonneg_ok = bool(values.min() >= -CONE_SLACK)
     # in Python floats: the same roundings as numpy scalars, without their overhead
     value_margin = float(values[window].min()) - p.k0 * float(np.abs(values).max())
     deriv_margin = float(derivs[window].min()) - p.k1 * float(np.abs(derivs).max())
-    value_lower_ok = value_margin >= -slack
-    deriv_lower_ok = deriv_margin >= -slack
+    value_lower_ok = value_margin >= -CONE_SLACK
+    deriv_lower_ok = deriv_margin >= -CONE_SLACK
     return ConeMembershipReport(
         member=nonneg_ok and value_lower_ok and deriv_lower_ok,
         nonneg_ok=nonneg_ok,

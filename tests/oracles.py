@@ -75,6 +75,14 @@ on ``(u''(0), v''(0))`` meets the two three-point conditions; scipy's
 DOP853 integrates, so the reference shares no discretisation with the
 package.
 
+:func:`manufactured` builds a nonlinear coupled system with a known exact
+solution.  :func:`manufactured_profile` is
+``w(t) = A t^2 - B(e^t - 1 - t - t^2/2)``, so ``-w''' = B e^t`` with
+``w(0) = w'(0) = 0``, and ``A = B[(e-2) - alpha(e^eta - 1 - eta)] / (2(1 - alpha eta))``
+meets ``w'(1) = alpha w'(eta)``.  The sources ``f = B_u e^t (1+y)/(1+v*(t))``
+and ``h = B_v e^t (1+y)/(1+u*(t))`` reduce to ``B e^t`` at the exact state, so
+the discretisation error is measured with no reference floor above rounding.
+
 :func:`parse_reference` is ``expr.parse`` as it was before its tokenizer
 became one pattern and its parser one precedence loop: a per-character
 tokenizer and a five-method recursive descent that records subtree depths
@@ -540,6 +548,34 @@ def shooting_reference(p, f, h, guess=(1.0, 1.0)):
         return np.where(t <= p.eta, lo, hi)
 
     return dense, (float(ab[0]), float(ab[1]))
+
+
+def manufactured_profile(t, alpha, eta, b, exp=np.exp):
+    """``(A, w(t), w'(t))`` of the exact profile of amplitude ``b``; ``exp`` is numpy's
+    for numbers and arrays, or sympy's for symbols."""
+    a = b * ((exp(1) - 2) - alpha * (exp(eta) - 1 - eta)) / (2 * (1 - alpha * eta))
+    return a, a * t**2 - b * (exp(t) - 1 - t - t**2 / 2), 2 * a * t - b * (exp(t) - 1 - t)
+
+
+def manufactured(p, b_u, b_v):
+    """Source texts ``(f, h)`` of a system solved exactly by ``u*, v*``, the profiles of
+    amplitudes ``b_u`` and ``b_v``, and ``exact(t) -> (u*, u*', v*, v*')``.
+
+    The texts write every float by ``repr``, so they hold the profiles' own doubles.
+    """
+    a_u, a_v = (float(manufactured_profile(0.0, p.alpha, p.eta, b)[0]) for b in (b_u, b_v))
+
+    def text(a, b):
+        return f"({a!r}*t^2-{b!r}*(exp(t)-1-t-t^2/2))"
+
+    f = f"{b_u!r}*exp(t)*(1+y)/(1+{text(a_v, b_v)})"
+    h = f"{b_v!r}*exp(t)*(1+y)/(1+{text(a_u, b_u)})"
+
+    def exact(t):
+        t = np.asarray(t, dtype=float)
+        return tuple(w for b in (b_u, b_v) for w in manufactured_profile(t, p.alpha, p.eta, b)[1:])
+
+    return f, h, exact
 
 
 def half_sweep_reference(op, src, values, derivs):

@@ -107,7 +107,7 @@ def test_criterion_1_kernel_certification():
     pinned = 0
     max_dev = 0.0
     for p in pairs:
-        report = certify_kernel(p, grid_n=401, slack=1e-12)
+        report = certify_kernel(p, grid_n=401)
         for check in report.checks:
             prev = worst.get(check.name, (-np.inf, p))
             if check.worst_violation > prev[0]:
@@ -206,8 +206,8 @@ def test_criterion_5_example_problem(example_solution_fine):
     dense = np.linspace(0.0, 1.0, 2001)
     uv, ud = interpolate(state.u, dense)
     vv, vd = interpolate(state.v, dense)
-    cone_u = cone_membership(p, state.u, slack=1e-9)
-    cone_v = cone_membership(p, state.v, slack=1e-9)
+    cone_u = cone_membership(p, state.u)
+    cone_v = cone_membership(p, state.v)
     sharp_u = _deriv_margin(p, state.u, SHARP_K1)
     sharp_v = _deriv_margin(p, state.v, SHARP_K1)
     clauses = [
@@ -263,7 +263,7 @@ def test_criterion_6_cone_preservation(params, f_example, h_example):
         g = GridFunction(nodes, vals, ders)
         w = (apply_operator(params, f_example, g) if case % 2 == 0
              else apply_operator(params, h_example, g))
-        rep = cone_membership(params, w, slack=1e-9)
+        rep = cone_membership(params, w)
         nonneg_failures += not rep.nonneg_ok
         value_failures += not rep.value_lower_ok
         paper_failures += not rep.deriv_lower_ok
@@ -293,7 +293,7 @@ def test_criterion_6_cone_preservation(params, f_example, h_example):
     # = 13/36 and max|w'| = w'(1) = 3/4; the margin at k1 = 1/2 is
     # 13/36 - 3/8 = -1/72, and at the sharp constant 13/36 - 1/4 = 1/9.
     const_out = apply_operator(params, parse("1"), GridFunction.zeros(nodes))
-    const_margin = cone_membership(params, const_out, slack=1e-9).deriv_margin
+    const_margin = cone_membership(params, const_out).deriv_margin
     clauses = [
         ("outputs nonnegative", nonneg_failures == 0, f"{nonneg_failures}/{total} failures"),
         ("value lower bound with k0", value_failures == 0, f"{value_failures}/{total} failures"),

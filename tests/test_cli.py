@@ -432,6 +432,44 @@ def test_example_solve_leaves_numpy_polynomial_unloaded():
     assert out.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--config", str(CONFIG_DIR / "example.json")),
+    ("verify-green", "--alpha", "1.5", "--eta", "0.5"),
+], ids=["solve", "verify-green"])
+def test_a_command_that_logs_nothing_leaves_logging_unloaded(argv):
+    code = (
+        "import sys, tripoint.cli\n"
+        "tripoint.cli.main(sys.argv[1:])\n"
+        "print('logging' in sys.modules)\n"
+    )
+    assert fresh_python(code, *argv).splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("overrides", [
+    {"outputs": {"csv": True}},
+    {"outputs": {"csv": 2}},
+    {"outputs": {"json": 1}},
+    {"f": 3},
+    {"alpha": [1.5]},
+    {"alpha": {"x": 1}},
+    {"alpha": "1.5"},
+    {"alpha": True},
+], ids=["csv-true", "csv-2", "json-1", "f-number", "alpha-list", "alpha-object",
+        "alpha-string", "alpha-true"])
+def test_config_value_of_the_wrong_type_is_an_input_error(tmp_path, overrides):
+    # an integer or boolean output path would be opened as a file descriptor;
+    # each is refused before anything is solved or written
+    cfg = _write_config(tmp_path, **overrides)
+    proc = subprocess.run([sys.executable, "-m", "tripoint.cli", "solve", "--config", cfg.name],
+                          cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]
+
+
 # the script paths: ``python -m tripoint.cli`` and the console script run
 # main through cli._script, which freezes the collector on the way out
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from tripoint import (
     EvalError,
     ParseError,
-    SamplingPlan,
     check_nonnegative_sampled,
     evaluate,
     parse,
@@ -445,7 +444,7 @@ def test_non_ascii_digits_and_numerics():
 # -- sampled nonnegativity ----------------------------------------------------
 
 def test_nonnegative_example_source(f_example):
-    report = check_nonnegative_sampled(f_example, SamplingPlan(bound=10.0, n_t=10, n_y=10, n_yp=10))
+    report = check_nonnegative_sampled(f_example)
     assert report.samples == 1000
     assert not report.violation
     assert report.min_value > 0.0
@@ -458,7 +457,7 @@ def test_negative_constant_flags_violation():
 
 
 def test_zero_minimum_is_not_a_violation():
-    report = check_nonnegative_sampled(parse("y"), SamplingPlan(bound=10.0))
+    report = check_nonnegative_sampled(parse("y"))
     assert not report.violation
     assert report.min_value == 0.0
     assert report.argmin[1] == 0.0
@@ -466,4 +465,4 @@ def test_zero_minimum_is_not_a_violation():
 
 def test_sampling_errors_carry_coordinates():
     with pytest.raises(EvalError, match=r"t=.*y=.*yp="):
-        check_nonnegative_sampled(parse("log(y-5)"), SamplingPlan(bound=10.0))
+        check_nonnegative_sampled(parse("log(y-5)"))

@@ -87,6 +87,26 @@ def test_construction_error_names_the_constraint():
         ProblemParams(3.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha, eta, name", [
+    ("1.5", 0.5, "alpha"), (True, 0.5, "alpha"), ([1.5], 0.5, "alpha"),
+    ({"x": 1}, 0.5, "alpha"), (None, 0.5, "alpha"), (1.5, "0.5", "eta"),
+    (1.5, False, "eta"), (1.5, np.array([0.5]), "eta"),
+])
+def test_construction_rejects_a_value_that_is_not_a_number(alpha, eta, name):
+    # the rule SolveConfig.validate uses: a boolean or a string is never a number
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got "):
+        ProblemParams(alpha, eta)
+
+
+@pytest.mark.parametrize("alpha, eta", [
+    (2, 0.25), (np.float64(1.5), np.float64(0.5)), (np.int64(2), np.float32(0.25)),
+])
+def test_construction_accepts_integers_and_numpy_scalars(alpha, eta):
+    p = ProblemParams(alpha, eta)
+    assert (type(p.alpha), type(p.eta)) == (float, float)
+    assert (p.alpha, p.eta) == (float(alpha), float(eta))
+
+
 def test_domain_errors(params):
     for t, s in [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.2)]:
         with pytest.raises(ValueError):

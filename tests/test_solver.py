@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import sympy
 
 import tripoint.solver as solver_module
 from tripoint import (
@@ -23,7 +24,8 @@ from tripoint import (
 )
 from conftest import CONFIG_DIR
 from oracles import (bc_defect_reference, c1_norm, fd3_reference, interpolate_reference, lincomb,
-                     picard_solve, poly_bvp_solution, residual_reference, shooting_reference)
+                     manufactured, manufactured_profile, picard_solve, poly_bvp_solution,
+                     residual_reference, shooting_reference)
 from test_verify import _random_admissible
 
 # nonnegative profiles phi(y, yp) for y, yp >= 0; the first group is positive
@@ -568,6 +570,42 @@ def test_gauss_order_3_and_4_meet_the_shooting_reference_alike(
         assert report.converged
         by_order[q] = np.array(_errors_against_shot(example_shot[0], state))
     assert np.all(np.abs(by_order[3] / by_order[4] - 1.0) <= 0.05)
+
+
+def test_manufactured_profile_solves_the_linear_problem_symbolically():
+    t, alpha, eta, b = sympy.symbols("t alpha eta b")
+    _, w, dw = manufactured_profile(t, alpha, eta, b, exp=sympy.exp)
+    assert sympy.simplify(sympy.diff(w, t) - dw) == 0
+    assert sympy.simplify(-sympy.diff(w, t, 3) - b * sympy.exp(t)) == 0
+    assert w.subs(t, 0) == 0 and dw.subs(t, 0) == 0
+    assert sympy.simplify(dw.subs(t, 1) - alpha * dw.subs(t, eta)) == 0
+
+
+# value and slope errors against the exact solution fall as h^4 and h^3: the
+# successive error ratios read 15.6-16.0 and 7.9-8.0, and at 257 nodes the
+# errors read 1.44e-11 and 6.37e-9
+@pytest.mark.parametrize("alpha, eta", [(1.5, 0.5), (1.2, 0.7), (2.5, 0.3)])
+def test_solve_converges_at_fourth_order_to_a_manufactured_solution(alpha, eta):
+    p = ProblemParams(alpha, eta)
+    f_src, h_src, exact = manufactured(p, 2.0, 1.0)
+    f, h = parse(f_src), parse(h_src)
+    t = np.linspace(0.0, 1.0, 4001)
+    u, du, v, dv = exact(t)
+    # at the exact state each source is its -w''' = B e^t
+    assert np.allclose(f.eval_array(t, v, dv), 2.0 * np.exp(t), rtol=1e-14, atol=0.0)
+    assert np.allclose(h.eval_array(t, u, du), np.exp(t), rtol=1e-14, atol=0.0)
+    errors = []
+    for nodes in (17, 33, 65, 129, 257):
+        state, report = solve(p, f, h, SolveConfig(nodes=nodes, tol=1e-14))
+        assert report.converged
+        (su, sdu), (sv, sdv) = interpolate(state.u, t), interpolate(state.v, t)
+        errors.append((max(np.abs(su - u).max(), np.abs(sv - v).max()),
+                       max(np.abs(sdu - du).max(), np.abs(sdv - dv).max())))
+    errors = np.array(errors)
+    value_ratios, slope_ratios = (errors[:-1] / errors[1:]).T
+    assert np.all((14.0 <= value_ratios) & (value_ratios <= 18.0)), value_ratios
+    assert np.all((7.0 <= slope_ratios) & (slope_ratios <= 9.0)), slope_ratios
+    assert errors[-1, 0] < 2e-11 and errors[-1, 1] < 1e-8, errors[-1]
 
 
 # From 4097 nodes up, a solve converges on a 257-node grid first and finishes

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 from oracles import cone_membership_reference, green_branches, green_dt_branches, select_first_match
 
+import tripoint
 from tripoint import (
     EvalError,
     GridFunction,
@@ -245,11 +247,21 @@ def test_certify_report_serializes(params):
     }
 
 
+def test_grading_slacks_and_lattice_are_constants(params):
+    # each held one value as a parameter; the report still states the kernel's
+    assert (tripoint.verify.KERNEL_SLACK, tripoint.verify.CONE_SLACK) == (1e-12, 1e-9)
+    assert certify_kernel(params, grid_n=21).to_dict()["slack"] == 1e-12
+    for fn in (certify_kernel, cone_membership):
+        assert "slack" not in inspect.signature(fn).parameters
+    assert list(inspect.signature(check_nonnegative_sampled).parameters) == ["e"]
+    assert "SamplingPlan" not in tripoint.__all__
+
+
 # -- cone membership ----------------------------------------------------------
 
 def test_zero_function_is_a_member(params):
     nodes = solver_nodes(33, params)
-    report = cone_membership(params, GridFunction.zeros(nodes), slack=1e-9)
+    report = cone_membership(params, GridFunction.zeros(nodes))
     assert report.member
     assert report.nonneg_ok and report.value_lower_ok and report.deriv_lower_ok
 
@@ -257,13 +269,13 @@ def test_zero_function_is_a_member(params):
 def test_flat_profile_is_a_member(params):
     nodes = solver_nodes(33, params)
     g = GridFunction(nodes, np.ones_like(nodes), np.ones_like(nodes))
-    assert cone_membership(params, g, slack=1e-9).member
+    assert cone_membership(params, g).member
 
 
 def test_decreasing_profile_is_not_a_member(params):
     nodes = solver_nodes(33, params)
     g = GridFunction(nodes, 1.0 - nodes, -np.ones_like(nodes))
-    report = cone_membership(params, g, slack=1e-9)
+    report = cone_membership(params, g)
     assert not report.member
     assert not report.deriv_lower_ok  # g' = -1 < k1 * 1
 
@@ -283,7 +295,7 @@ def test_operator_output_value_clause_holds(params, f_example):
         np.polynomial.polynomial.polyval(nodes, coef),
         np.polynomial.polynomial.polyval(nodes, np.polynomial.polynomial.polyder(coef)),
     )
-    report = cone_membership(params, apply_operator(params, f_example, v), slack=1e-9)
+    report = cone_membership(params, apply_operator(params, f_example, v))
     assert report.nonneg_ok
     assert report.value_lower_ok
     # no assertion on deriv_lower_ok: k1 = 1/2 exceeds the sharp derivative
@@ -295,7 +307,7 @@ def test_operator_output_value_clause_holds(params, f_example):
 def _cone_fields(check, p, g):
     """Every report field, floats by hex, or the ValueError's message."""
     try:
-        report = check(p, g, slack=1e-9)
+        report = check(p, g)
     except ValueError as err:
         return ("ValueError", str(err))
     return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
