@@ -93,6 +93,8 @@ def _load_config(path: str) -> dict:
                        *((f"outputs.{k}", v) for k, v in cfg["outputs"].items())):
         if not (value is None or isinstance(value, str)):
             raise InputError(f"config key {key!r} must hold a string, got {value!r}")
+        if value == "" and key.startswith("outputs."):  # null, not "", asks for no output
+            raise InputError(f"config key {key!r} must name a file, got an empty path")
     return cfg
 
 
@@ -143,12 +145,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    if args.dump_config:
-        import json
-
-        json.dump(cfg, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
+    # every input check runs first, for a dump too: it prints only what solve runs
     p = ProblemParams(_require(cfg, "alpha"), _require(cfg, "eta"))
     f = _cli.parse(_require(cfg, "f"))
     h = _cli.parse(_require(cfg, "h"))
@@ -157,6 +154,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         solve_cfg.validate()
     except ValueError as err:
         raise InputError(f"solver.{err}") from None
+    if args.dump_config:
+        import json
+
+        json.dump(cfg, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        return 0
     state, report = _cli.solve(p, f, h, solve_cfg)
     print(
         f"converged: {str(report.converged).lower()}  iters: {report.iters}"
@@ -297,6 +300,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("out_csv", "out_json"):  # checked before anything runs or is written
+            if getattr(args, flag, None) == "":
+                raise InputError(f"--{flag.replace('_', '-')} must name a file, got an empty path")
         return args.func(args)
     # evaluated only once an error is raised: the library's classes load then
     except (ValueError, _cli.SolveError, _cli.EvalError) as err:  # InputError, ParseError included

@@ -45,6 +45,7 @@ first half-sweep and kept for the solve.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -224,9 +225,10 @@ class _MomentOperator:
             if not (y.min() >= 0.0 and yp.min() >= 0.0):
                 n_neg = np.count_nonzero(y < 0.0) + np.count_nonzero(yp < 0.0)
                 if n_neg:
-                    import logging  # loaded by the first record, not by every solve
-                    logging.getLogger(__name__).debug(
-                        "clamped %d negative interpolated state samples to 0", n_neg)
+                    # a process that never loaded logging has no handler to show the record
+                    if logging := sys.modules.get("logging"):
+                        logging.getLogger(__name__).debug(
+                            "clamped %d negative interpolated state samples to 0", n_neg)
                     np.maximum(y, 0.0, out=y)
                     np.maximum(yp, 0.0, out=yp)
             # w * s^k * src in the source register: one multiply by s per moment

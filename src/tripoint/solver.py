@@ -44,6 +44,7 @@ dense grid), boundary-condition defects, cone membership and positivity.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
@@ -198,9 +199,10 @@ def _sweeps(
         if step <= cfg.tol:
             return u, v, True
         if step > prev_step:
-            import logging  # loaded by the first record, not by every solve
-            logging.getLogger(__name__).info(
-                "step norm increased at iteration %d; damping reduced to 0.5", it)
+            # a process that never loaded logging has no handler to show the record
+            if logging := sys.modules.get("logging"):
+                logging.getLogger(__name__).info(
+                    "step norm increased at iteration %d; damping reduced to 0.5", it)
             x_next = 0.5 * x + 0.5 * g
         else:
             x_next = g
@@ -226,9 +228,9 @@ def solve(
     if (not isinstance(init, CoupledState) and max_iters > 1
             and int(cfg.nodes) - 1 >= _COARSE_RATIO * (_COARSE_NODES - 1)):
         u, v, _ = _sweeps(p, f, h, init, _COARSE_NODES, cfg, max_iters - 1, history)
-        import logging
-        logging.getLogger(__name__).debug(
-            "coarse grid of %d nodes took %d sweeps", _COARSE_NODES, len(history))
+        if logging := sys.modules.get("logging"):
+            logging.getLogger(__name__).debug(
+                "coarse grid of %d nodes took %d sweeps", _COARSE_NODES, len(history))
         init = CoupledState(u, v)
     u, v, converged = _sweeps(p, f, h, init, int(cfg.nodes), cfg, max_iters, history)
 

@@ -43,6 +43,8 @@ if TYPE_CHECKING:
 MIN_GRID = 11
 #: points per row block of the kernel sweep: 40 rows, 256 KiB per array, at grid 801
 _BLOCK_POINTS = 1 << 15
+#: numpy's ufunc buffer size during the sweep, the smallest it accepts (see certify_kernel)
+_ITER_BUFFER = 16
 #: uniform t samples on [0, 1] of a growth scan
 _SCAN_T_POINTS = 101
 #: absolute slacks for rounding: of the kernel inequalities, and of the cone conditions
@@ -114,7 +116,9 @@ def certify_kernel(
     against a deliberately corrupted kernel.  They are called with
     broadcastable ``(b, 1)`` t-columns and a ``(1, m)`` s-row and must return
     the broadcast ``(b, m)`` block, as :func:`~tripoint.kernel.green` does.
-    Their returns are only read, so they may be cached or read-only.
+    Their returns are only read, so they may be cached or read-only.  They
+    run with numpy's ufunc buffer at ``_ITER_BUFFER`` elements; the caller's
+    size is back when ``certify_kernel`` returns or raises.
     """
     if not _is_count(grid_n):
         raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
@@ -133,22 +137,31 @@ def certify_kernel(
     rows = max(1, _BLOCK_POINTS // grid_n)
     buf = np.empty((2, min(rows, grid_n), grid_n))
     worst = [None] * 4
-    for lo in range(0, grid_n, rows):
-        a, b = buf[:, :min(rows, grid_n - lo)]
-        for c, (kernel, ts, env, upper) in enumerate(plan):
-            K = kernel(p, ts[lo:lo + rows, None], S)
-            if upper:  # max(-K, K - env), in that operand order for NaNs and zeros
-                np.subtract(K, env, out=a)
-                violation = np.maximum(np.negative(K, out=b), a, out=b)
-            else:
-                violation = np.subtract(env, K, out=a)
-            del K  # freed before the next kernel call: one output alive at a time
-            k = int(np.argmax(violation))
-            v = float(violation.flat[k])
-            w = worst[c]
-            if w is None or not math.isnan(w[0]) and (math.isnan(v) or v > w[0]):
-                i, j = np.unravel_index(k, violation.shape)
-                worst[c] = (v, float(ts[lo + i]), float(sg[j]))
+    # With its default 8192-element buffer, numpy's ufunc iterator grows the inner
+    # loop of a (b, 1)-by-(1, m) broadcast across rows and copies every operand
+    # through the buffer: a (40, 801) broadcast subtract takes ~4x as long as at
+    # 16 elements, in the kernels and in the grading alike, with the same
+    # arithmetic.  The caller's size comes back on return and on any exception.
+    old = np.setbufsize(_ITER_BUFFER)
+    try:
+        for lo in range(0, grid_n, rows):
+            a, b = buf[:, :min(rows, grid_n - lo)]
+            for c, (kernel, ts, env, upper) in enumerate(plan):
+                K = kernel(p, ts[lo:lo + rows, None], S)
+                if upper:  # max(-K, K - env), in that operand order for NaNs and zeros
+                    np.subtract(K, env, out=a)
+                    violation = np.maximum(np.negative(K, out=b), a, out=b)
+                else:
+                    violation = np.subtract(env, K, out=a)
+                del K  # freed before the next kernel call: one output alive at a time
+                k = int(np.argmax(violation))
+                v = float(violation.flat[k])
+                w = worst[c]
+                if w is None or not math.isnan(w[0]) and (math.isnan(v) or v > w[0]):
+                    i, j = np.unravel_index(k, violation.shape)
+                    worst[c] = (v, float(ts[lo + i]), float(sg[j]))
+    finally:
+        np.setbufsize(old)
     checks = tuple(
         KernelCheck(name, description, v <= KERNEL_SLACK, v, vt, vs)
         for (name, description), (v, vt, vs) in zip(_CHECKS, worst)

@@ -434,8 +434,11 @@ def test_example_solve_leaves_numpy_polynomial_unloaded():
 
 @pytest.mark.parametrize("argv", [
     ("solve", "--config", str(CONFIG_DIR / "example.json")),
+    # from 4097 nodes the solve starts on a coarse grid and records it at DEBUG,
+    # which no handler can show in a process that never loaded logging
+    ("solve", "--config", str(CONFIG_DIR / "example.json"), "--nodes", "4097"),
     ("verify-green", "--alpha", "1.5", "--eta", "0.5"),
-], ids=["solve", "verify-green"])
+], ids=["solve", "two-grid-solve", "verify-green"])
 def test_a_command_that_logs_nothing_leaves_logging_unloaded(argv):
     code = (
         "import sys, tripoint.cli\n"
@@ -468,6 +471,68 @@ def test_config_value_of_the_wrong_type_is_an_input_error(tmp_path, overrides):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert [path.name for path in tmp_path.iterdir()] == [cfg.name]
+
+
+@pytest.mark.parametrize("argv, overrides, err", [
+    (["solve", "--out-csv", ""], {}, "error: --out-csv must name a file"),
+    (["solve", "--out-json", ""], {}, "error: --out-json must name a file"),
+    (["solve"], {"outputs": {"csv": ""}}, "error: config key 'outputs.csv' must name a file"),
+    (["solve"], {"outputs": {"json": ""}}, "error: config key 'outputs.json' must name a file"),
+    (["solve", "--dump-config"], {"outputs": {"csv": ""}}, "error: config key 'outputs.csv'"),
+    (["verify-green", "--alpha", "1.5", "--eta", "0.5", "--out-json", ""], None,
+     "error: --out-json must name a file"),
+    (["scan", "--out-json", ""], {}, "error: --out-json must name a file"),
+], ids=["out-csv", "out-json", "config-csv", "config-json", "dump-config", "verify-green",
+        "scan"])
+def test_an_empty_output_path_is_an_input_error(tmp_path, monkeypatch, capsys, argv, overrides,
+                                                err):
+    # an empty path names no file: refused before anything is solved or written,
+    # not taken for "no output"
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("solve", "certify_kernel", "growth_scan"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    monkeypatch.chdir(tmp_path)
+    if overrides is not None:
+        argv = argv + ["--config", _write_config(tmp_path, **overrides).name]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(err) and out.err.count("\n") == 1, out.err
+    assert "got an empty path" in out.err
+    assert [path.name for path in tmp_path.iterdir()] == ([] if overrides is None else ["cfg.json"])
+
+
+@pytest.mark.parametrize("overrides, flags", [
+    ({"alpha": "1.5"}, []),
+    ({"alpha": 3.0}, []),
+    ({"eta": None}, []),
+    ({"f": "1+"}, []),
+    ({}, ["--nodes", "4"]),
+    ({"solver": {"nodes": "17"}}, []),
+    ({"solver": {"initial": "one"}}, []),
+], ids=["alpha-string", "alpha-inadmissible", "eta-missing", "f-syntax", "nodes-flag",
+        "nodes-string", "initial"])
+def test_dump_config_refuses_what_solve_refuses(tmp_path, monkeypatch, capsys, overrides, flags):
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved"))
+    cfg = str(_write_config(tmp_path, **overrides))
+    assert main(["solve", "--config", cfg, *flags]) == 1
+    want = capsys.readouterr()
+    assert want.err.startswith("error: ") and want.err.count("\n") == 1, want.err
+    assert main(["solve", "--config", cfg, *flags, "--dump-config"]) == 1
+    assert capsys.readouterr() == ("", want.err)
+
+
+def test_dump_config_of_a_valid_config_is_unchanged(capsys):
+    # the effective config, as json.dump writes it with sorted keys and a newline
+    path = CONFIG_DIR / "example.json"
+    want = json.loads(path.read_text(encoding="utf-8"))
+    want["solver"] = dict(want["solver"], nodes=99)
+    want["outputs"] = {"csv": "out.csv", "json": None}
+    assert main(["solve", "--config", str(path), "--nodes", "99", "--out-csv", "out.csv",
+                 "--dump-config"]) == 0
+    assert capsys.readouterr() == (json.dumps(want, indent=2, sort_keys=True) + "\n", "")
 
 
 # the script paths: ``python -m tripoint.cli`` and the console script run

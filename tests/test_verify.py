@@ -138,6 +138,51 @@ def _graded(report):
             for c in report.checks]
 
 
+@pytest.mark.parametrize("grid_n", [11, 401, 2001])
+def test_certify_matches_meshgrid_reference_bitwise_across_grids(grid_n):
+    # the sweep runs with numpy's ufunc buffer at its smallest size, and grades
+    # as the full grid does in one block (11), in five (401) and in 126 (2001)
+    rng = np.random.default_rng(3)
+    for p in [_random_admissible(rng) for _ in range(3)]:
+        got = _graded(certify_kernel(p, grid_n=grid_n))
+        assert got == _meshgrid_certification(p, grid_n), (p.alpha, p.eta)
+
+
+@pytest.mark.parametrize("size", [8192, 4096, 64])
+def test_certify_restores_the_callers_buffer_size(params, size):
+    old = np.setbufsize(size)
+    try:
+        certify_kernel(params, grid_n=41)
+        assert np.getbufsize() == size
+
+        def failing(p, t, s):
+            raise RuntimeError("kernel failed")
+
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            certify_kernel(params, grid_n=41, green_dt_fn=failing)
+        assert np.getbufsize() == size
+    finally:
+        np.setbufsize(old)
+
+
+def test_certify_sweeps_with_the_private_buffer_size(params):
+    import tripoint.verify as verify
+
+    seen, before = [], np.getbufsize()
+
+    def recording(kernel):
+        def wrapped(p, t, s):
+            seen.append(np.getbufsize())
+            return kernel(p, t, s)
+        return wrapped
+
+    got = _graded(certify_kernel(params, grid_n=101, green_fn=recording(green),
+                                 green_dt_fn=recording(green_dt)))
+    assert got == _graded(certify_kernel(params, grid_n=101))
+    assert seen == [verify._ITER_BUFFER] * 4 and verify._ITER_BUFFER == 16
+    assert np.getbufsize() == before
+
+
 def test_closed_form_certifies_like_the_branch_selection_at_801():
     # the closed-form kernel rounds differently from the first-match branches,
     # but the graded worst points and violations are the same
