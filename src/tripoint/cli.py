@@ -196,52 +196,17 @@ def _cmd_verify_green(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _split_direction(text: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return text[:i], text[i + 1 :]
-    raise InputError(f"direction {text!r} must be two expressions 'phi,psi'")
-
-
-def _direction_callable(src: str):
-    from .expr import _T_ONLY, _uses
-
-    e = _cli.parse(src)
-    # directions are profiles of t only; y/yp would be circular here
-    if _uses(e.root, {}) & ~_T_ONLY:
-        raise InputError(f"direction component {src!r} may only use the variable t")
-    return lambda tg: e.eval_array(tg, np.zeros_like(tg), np.zeros_like(tg))
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     exprs = [(key, _cli.parse(cfg[key])) for key in ("f", "h") if cfg.get(key) is not None]
     if not exprs:
         raise InputError("nothing to scan: provide --f and/or --h (or a config file)")
-    directions = None
-    if args.direction:
-        directions = []
-        for text in args.direction:
-            phi_src, psi_src = _split_direction(text)
-            directions.append((_direction_callable(phi_src), _direction_callable(psi_src)))
-    # an inf or NaN end makes non-finite scales, which growth_scan rejects
-    with np.errstate(all="ignore"):
-        scales = np.geomspace(args.scale_min, args.scale_max, args.scale_count)
-    results = [(name, _cli.growth_scan(e, directions=directions, scales=scales))
-               for name, e in exprs]
+    results = [(name, _cli.growth_scan(e)) for name, e in exprs]
     print("scale" + "".join(f"  ratio_{name}" for name, _ in results))
-    for i, c in enumerate(scales):
+    for i, c in enumerate(results[0][1].scales):  # each scan samples the default scales
         print(_fmt(c) + "".join(f"  {_fmt(scan.ratios[i])}" for _, scan in results))
     if args.out_json:
-        _write_json(
-            args.out_json,
-            {name: scan.to_dict() for name, scan in results},
-        )
+        _write_json(args.out_json, {name: scan.to_dict() for name, scan in results})
         print(f"wrote report: {args.out_json}")
     return 0
 
@@ -284,14 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="growth-ratio diagnostic")
     add_common(sp)
-    sp.add_argument(
-        "--direction",
-        action="append",
-        help="direction 'phi,psi' with both sides expressions in t (repeatable)",
-    )
-    sp.add_argument("--scale-min", type=float, default=1e-6)
-    sp.add_argument("--scale-max", type=float, default=1e6)
-    sp.add_argument("--scale-count", type=int, default=25)
     sp.set_defaults(func=_cmd_scan)
     return parser
 

@@ -202,7 +202,7 @@ def _sweeps(
             # a process that never loaded logging has no handler to show the record
             if logging := sys.modules.get("logging"):
                 logging.getLogger(__name__).info(
-                    "step norm increased at iteration %d; damping reduced to 0.5", it)
+                    "step norm increased at iteration %d; averaging input and output", it)
             x_next = 0.5 * x + 0.5 * g
         else:
             x_next = g

@@ -13,8 +13,8 @@ against the ``(1, m)`` s-row, grades each kernel block into two block buffers
 allocated once per call, and keeps a running worst point per check, so no
 array of the full grid is built.  These are grid sweeps, not proofs; a PASS
 means no violation beyond the slack was found at the requested resolution.
-The growth scan likewise only samples ratio curves along user-chosen
-directions; it claims nothing about limits.
+The growth scan likewise only samples ratio curves along four default rays,
+or along directions a library caller chooses; it claims nothing about limits.
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tripoint import SolveConfig, cli
+from tripoint import SolveConfig, cli, growth_scan, parse
 from tripoint.cli import DEFAULT_CONFIG, build_parser, main
 from tripoint.gridfn import GridFunction
 
@@ -315,7 +315,7 @@ def test_verify_green_rejects_bad_params(capsys):
 
 
 def test_scan_linear_expression_is_flat(capsys):
-    code = main(["scan", "--f", "y+yp", "--scale-count", "7"])
+    code = main(["scan", "--f", "y+yp"])
     assert code == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].split() == ["scale", "ratio_f"]
@@ -323,21 +323,13 @@ def test_scan_linear_expression_is_flat(capsys):
     assert all(abs(r - 1.0) <= 1e-12 for r in ratios)
 
 
-def test_scan_both_sources_with_direction(tmp_path, capsys):
+def test_scan_both_sources_over_the_default_rays(tmp_path, capsys):
     rep = tmp_path / "scan.json"
-    code = main([
-        "scan", "--f", EXAMPLE_F, "--h", EXAMPLE_H, "--direction", "1,1",
-        "--scale-min", "1e-6", "--scale-max", "1e6", "--scale-count", "5",
-        "--out-json", str(rep),
-    ])
+    code = main(["scan", "--f", EXAMPLE_F, "--h", EXAMPLE_H, "--out-json", str(rep)])
     assert code == 0
     payload = json.loads(rep.read_text())
     assert payload["f"]["ratios"][0] >= 1e2
     assert payload["f"]["ratios"][-1] <= 1e-2
-
-
-def test_scan_direction_with_profile_in_t(capsys):
-    assert main(["scan", "--f", "y+yp", "--direction", "t,1", "--scale-count", "3"]) == 0
 
 
 def test_scan_rejects_unknown_variable(capsys):
@@ -345,21 +337,29 @@ def test_scan_rejects_unknown_variable(capsys):
     assert "offset 0" in capsys.readouterr().err
 
 
-def test_scan_rejects_state_variables_in_direction(capsys):
-    assert main(["scan", "--f", "y+yp", "--direction", "y,1"]) == 1
-    assert "variable t" in capsys.readouterr().err
+def test_scan_prints_and_writes_the_librarys_default_scan(tmp_path, capsys):
+    # scan runs growth_scan with its default rays and scales, and nothing else
+    rep = tmp_path / "scan.json"
+    for sources in ({"f": EXAMPLE_F, "h": EXAMPLE_H}, {"f": "y+yp"}):
+        argv = ["scan", "--out-json", str(rep)]
+        for name, src in sources.items():
+            argv += [f"--{name}", src]
+        assert main(argv) == 0
+        scans = {name: growth_scan(parse(src)) for name, src in sources.items()}
+        rows = ["scale" + "".join(f"  ratio_{name}" for name in scans)]
+        for i, c in enumerate(scans["f"].scales):
+            rows.append(f"{c:.17g}" + "".join(f"  {s.ratios[i]:.17g}" for s in scans.values()))
+        rows.append(f"wrote report: {rep}")
+        assert capsys.readouterr().out == "\n".join(rows) + "\n"
+        payload = {name: s.to_dict() for name, s in scans.items()}
+        assert rep.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-def test_scan_rejects_non_finite_scale_ends(capsys):
-    # an infinite or NaN end makes non-finite scales: rejected as scales, with
-    # no numpy warning, instead of blaming the expression at scale c=inf
-    for flag, end in (("--scale-max", "inf"), ("--scale-min", "nan")):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["scan", "--f", "1+y", flag, end]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: scales must be positive, finite"), err
-        assert "Warning" not in err and caught == [], [str(w.message) for w in caught]
+    for flag, value in (("--direction", "1,1"), ("--scale-min", "1e-6"),
+                        ("--scale-max", "1e6"), ("--scale-count", "25")):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--f", "y", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_scan_requires_a_source(capsys):

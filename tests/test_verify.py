@@ -99,26 +99,29 @@ def test_certify_detects_corrupted_kernel(params):
 
 
 def _meshgrid_certification(p, grid_n, slack=1e-12):
-    """The four gradings on materialised meshgrids with the oracle kernel."""
+    """The four gradings on materialised meshgrids with the oracle kernel.
+
+    One check at a time: its meshgrid pair, branch stack and violation grid
+    are freed before the next check builds its own.
+    """
     sg = np.linspace(0.0, 1.0, grid_n)
     tg = np.linspace(0.0, 1.0, grid_n)
     tw = np.linspace(p.eta / p.alpha, p.eta, grid_n)
-    T, S = np.meshgrid(tg, sg, indexing="ij")
-    Tw, Sw = np.meshgrid(tw, sg, indexing="ij")
-    G = select_first_match(p, T, S, green_branches(p, T, S))
-    Gw = select_first_match(p, Tw, Sw, green_branches(p, Tw, Sw))
-    D = select_first_match(p, T, S, green_dt_branches(p, T, S))
-    Dw = select_first_match(p, Tw, Sw, green_dt_branches(p, Tw, Sw))
-    graded = [
-        ("green_envelope", np.maximum(-G, G - g0_bound(p, S)), tg),
-        ("green_cone_lower", p.k0 * g0_bound(p, Sw) - Gw, tw),
-        ("green_dt_envelope", np.maximum(-D, D - g1_bound(p, S)), tg),
-        ("green_dt_cone_lower", p.k1 * g1_bound(p, Sw) - Dw, tw),
+    checks = [
+        ("green_envelope", tg, green_branches, lambda K, S: np.maximum(-K, K - g0_bound(p, S))),
+        ("green_cone_lower", tw, green_branches, lambda K, S: p.k0 * g0_bound(p, S) - K),
+        ("green_dt_envelope", tg, green_dt_branches,
+         lambda K, S: np.maximum(-K, K - g1_bound(p, S))),
+        ("green_dt_cone_lower", tw, green_dt_branches, lambda K, S: p.k1 * g1_bound(p, S) - K),
     ]
     rows = []
-    for name, violation, ts in graded:
+    for name, ts, branches, grade in checks:
+        T, S = np.meshgrid(ts, sg, indexing="ij")
+        violation = grade(select_first_match(p, T, S, branches(p, T, S)), S)
+        del T, S
         i, j = np.unravel_index(int(np.argmax(violation)), violation.shape)
         v = float(violation[i, j])
+        del violation
         rows.append((name, v <= slack, v.hex(), float(ts[i]).hex(), float(sg[j]).hex()))
     return rows
 
