@@ -337,29 +337,36 @@ def test_scan_rejects_unknown_variable(capsys):
     assert "offset 0" in capsys.readouterr().err
 
 
-def test_scan_prints_and_writes_the_librarys_default_scan(tmp_path, capsys):
+@pytest.mark.parametrize("sources", [
+    {"f": EXAMPLE_F, "h": EXAMPLE_H}, {"f": "y+yp"},
+], ids=["example-pair", "linear-f"])
+def test_scan_prints_and_writes_the_librarys_default_scan(sources, tmp_path, capsys):
     # scan runs growth_scan with its default rays and scales, and nothing else
     rep = tmp_path / "scan.json"
-    for sources in ({"f": EXAMPLE_F, "h": EXAMPLE_H}, {"f": "y+yp"}):
-        argv = ["scan", "--out-json", str(rep)]
-        for name, src in sources.items():
-            argv += [f"--{name}", src]
-        assert main(argv) == 0
-        scans = {name: growth_scan(parse(src)) for name, src in sources.items()}
-        rows = ["scale" + "".join(f"  ratio_{name}" for name in scans)]
-        for i, c in enumerate(scans["f"].scales):
-            rows.append(f"{c:.17g}" + "".join(f"  {s.ratios[i]:.17g}" for s in scans.values()))
-        rows.append(f"wrote report: {rep}")
-        assert capsys.readouterr().out == "\n".join(rows) + "\n"
-        payload = {name: s.to_dict() for name, s in scans.items()}
-        assert rep.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    argv = ["scan", "--out-json", str(rep)]
+    for name, src in sources.items():
+        argv += [f"--{name}", src]
+    assert main(argv) == 0
+    scans = {name: growth_scan(parse(src)) for name, src in sources.items()}
+    rows = ["scale" + "".join(f"  ratio_{name}" for name in scans)]
+    for i, c in enumerate(scans["f"].scales):
+        rows.append(f"{c:.17g}" + "".join(f"  {s.ratios[i]:.17g}" for s in scans.values()))
+    rows.append(f"wrote report: {rep}")
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"
+    payload = {name: s.to_dict() for name, s in scans.items()}
+    assert rep.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    for flag, value in (("--direction", "1,1"), ("--scale-min", "1e-6"),
-                        ("--scale-max", "1e6"), ("--scale-count", "25")):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", "--f", "y", flag, value])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+@pytest.mark.parametrize("flag, value", [
+    ("--direction", "1,1"), ("--scale-min", "1e-6"),
+    ("--scale-max", "1e6"), ("--scale-count", "25"),
+])
+def test_scan_rejects_a_retired_flag(flag, value, capsys):
+    # the rays and scales are the library's defaults; the old flags are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--f", "y", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_scan_requires_a_source(capsys):
